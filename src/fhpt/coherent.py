@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .model import PotentialParams
 from .quadrature import QuadratureRule, default_r_max, integrate_semi_infinite_k_weight
-from .special import bessel_i, gamma_fn, log_gamma
+from .special import _bessel_i_series, bessel_i, gamma_fn, log_gamma
 
 __all__ = [
     "CoherentState",
@@ -61,8 +62,9 @@ def build_coherent_state(z: complex, params: PotentialParams, tail_tol: float = 
     """Coefficient vector of the state labelled by complex z.
 
     Magnitudes follow the ratio recurrence |c_n| / |c_(n-1)| = |z| / sqrt(n (n + 2L)),
-    accumulated in log space; phases are n arg(z).  Raises OverflowError via
-    the Bessel normalizer once 2 |z| exceeds the exponential range.
+    accumulated in log space; phases are n arg(z).  The normalizer
+    I_(2L)(2|z|) enters through its logarithm, so it may lie below the double
+    range; it raises OverflowError once 2 |z| exceeds the exponential range.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -75,7 +77,15 @@ def build_coherent_state(z: complex, params: PotentialParams, tail_tol: float = 
         return CoherentState(z, L, np.array([1.0 + 0.0j]), 0.0)
     theta = cmath.phase(z)
     norm = bessel_i(2.0 * L, 2.0 * r)
-    log_c0 = L * math.log(r) - 0.5 * (math.log(norm) + log_gamma(2.0 * L + 1.0))
+    if norm >= sys.float_info.min:
+        log_norm = math.log(norm)
+    else:
+        # I_(2L)(2r) lies below the normal double range (large L, small r):
+        # its log is that of the series' leading term plus that of the sum
+        # scaled by it, which stays representable
+        log_t0, scaled = _bessel_i_series(2.0 * L, 2.0 * r, 1e-14)
+        log_norm = log_t0 + math.log(scaled)
+    log_c0 = L * math.log(r) - 0.5 * (log_norm + log_gamma(2.0 * L + 1.0))
 
     log_mags = [log_c0]
     n = 0

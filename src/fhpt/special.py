@@ -1,10 +1,17 @@
-"""Self-contained scalar special-function kernel.
+"""Self-contained special-function kernel.
 
 Everything the model layer needs lives here: Gamma and log-Gamma, terminating
 Gauss hypergeometric sums, Gegenbauer polynomials with exact-recurrence
 monomial coefficients, an associated Legendre continuation with non-integer
 degree and order tied by degree = n + order, and the modified Bessel pair
-I_nu, K_nu of real order.
+I_nu, K_nu of real order.  The public functions take scalars; a private
+array kernel evaluates K_nu of one order over a whole quadrature grid.
+
+K_nu has two regimes (Temme, J. Comput. Phys. 19 (1975) 324; Numerical
+Recipes section 6.7): with nu = nl + mu, |mu| <= 1/2, Temme's series gives
+K_mu and K_{mu+1} for x <= 2 and Steed's continued fraction for x > 2, and
+upward recurrence carries the pair to nu.  Both are uniform in the order,
+so integer and near-integer orders need no special case.
 
 Only numpy and the standard library are imported.  Identities follow the
 classical handbooks (Abramowitz & Stegun ch. 6/8/9/15, DLMF 14/15/10); the
@@ -13,7 +20,8 @@ specific algorithm choices are noted on each function.
 Series conventions: every infinite series here takes a tail tolerance
 (default 1e-14).  Summation stops once the ratio of consecutive terms drops
 below 1/2 and the geometric bound term*ratio/(1-ratio) falls under
-tol*max(1, |partial sum|).
+tol*max(1, |partial sum|).  Temme's series, whose terms fall factorially,
+stops at its first term below tol relative to the partial sum.
 """
 
 from __future__ import annotations
@@ -85,23 +93,6 @@ def log_gamma(x: float) -> float:
         return log_gamma(x + 1.0) - math.log(x)
     t = x + _LANCZOS_G - 0.5
     return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(_lanczos_series(x))
-
-
-def _sin_pi(x: float) -> float:
-    # sin(pi x) with the argument reduced first, so large |x| keeps full accuracy
-    r = x - round(x)
-    s = math.sin(math.pi * r)
-    return -s if (round(x) % 2) else s
-
-
-def _recip_gamma(x: float) -> float:
-    """1/Gamma(x) on the whole real line; zero at the poles x = 0, -1, -2, ..."""
-    if x > 0.0:
-        return math.exp(-log_gamma(x))
-    if x == math.floor(x):
-        return 0.0
-    # reflection: 1/Gamma(x) = Gamma(1-x) sin(pi x)/pi
-    return math.exp(log_gamma(1.0 - x)) * _sin_pi(x) / math.pi
 
 
 def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
@@ -228,13 +219,33 @@ def assoc_legendre_half_shift(n: int, L: float, y) -> float:
 _OVERFLOW_LOG = 708.0  # ln of the largest double, with a little headroom
 
 
+def _bessel_i_series(nu: float, x: float, tol: float) -> tuple[float, float]:
+    # Ascending series of I_nu(x), x > 0, as (ln t0, S) with I_nu(x) = e^{ln t0} S:
+    # t0 = (x/2)^nu / Gamma(nu+1) is the leading term and S >= 1 the sum of the
+    # terms scaled by it.  All terms are positive, so nothing cancels, and S
+    # stays representable wherever t0 alone would flush to zero.
+    q = 0.25 * x * x
+    term = total = 1.0
+    k = 0
+    while True:
+        k += 1
+        term *= q / (k * (k + nu))
+        total += term
+        ratio = q / ((k + 1.0) * (k + 1.0 + nu))
+        if ratio < 0.5 and term * ratio / (1.0 - ratio) < tol * total:
+            return nu * math.log(0.5 * x) - log_gamma(nu + 1.0), total
+        if k > 10000:
+            raise ConvergenceError("bessel_i series did not converge")
+
+
 def bessel_i(nu: float, x: float, tol: float = 1e-14) -> float:
     """I_nu(x) for nu >= 0, x >= 0 by the ascending power series.
 
-    All terms are positive, so there is no cancellation and the series is
-    accurate up to the overflow edge near x ~ 713.  The leading term is formed
-    in log space so extreme (nu, x) corners neither overflow nor flush to zero
-    prematurely.
+    The series is summed relative to its leading term, which is formed in log
+    space, so extreme (nu, x) corners neither overflow nor flush to zero
+    early: only the final product can fall below the normal double range,
+    and it is 0.0 only where I_nu(x) itself underflows.  Raises OverflowError
+    above the range, near x ~ 713.
     """
     if nu < 0.0:
         raise DomainError(f"bessel_i requires nu >= 0, got {nu!r}")
@@ -244,91 +255,69 @@ def bessel_i(nu: float, x: float, tol: float = 1e-14) -> float:
         return 1.0 if nu == 0.0 else 0.0
     if x - 0.5 * math.log(2.0 * math.pi * x) > _OVERFLOW_LOG:
         raise OverflowError(f"I_{nu}({x}) exceeds the double range")
-    log_t0 = nu * math.log(0.5 * x) - log_gamma(nu + 1.0)
-    term = math.exp(log_t0)
-    if term == 0.0:
-        # leading term underflowed while the term ratio is < 1 throughout
-        # this regime, so the true value is below the double range
-        return 0.0
-    total = term
-    q = 0.25 * x * x
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * (k + nu))
-        total += term
-        ratio = q / ((k + 1.0) * (k + 1.0 + nu))
-        if ratio < 0.5 and term * ratio / (1.0 - ratio) < tol * total:
-            return total
-        if k > 10000:
-            raise ConvergenceError("bessel_i series did not converge")
+    log_t0, total = _bessel_i_series(nu, x, tol)
+    return math.exp(log_t0) * total
 
 
-def _bessel_i_signed(nu: float, x: float, tol: float) -> float:
-    # Ascending series valid for negative non-integer order as well; the
-    # 1/Gamma factors carry the signs.  Used only on x <= 2 by bessel_k.
-    q = 0.25 * x * x
-    term = math.exp(nu * math.log(0.5 * x)) * _recip_gamma(nu + 1.0)
-    total = 0.0
-    k = 0
-    while True:
-        total += term
-        k += 1
-        denom = k + nu
-        if denom == 0.0:
-            raise DomainError("order hit a negative integer inside the series")
-        term *= q / (k * denom)
-        if abs(term) < tol * abs(total) and k > max(2, -nu):
-            return total + term
-        if k > 10000:
-            raise ConvergenceError("signed I series did not converge")
+# Taylor coefficients of 1/Gamma(1+t) about t = 0 (A&S 6.1.34 shifted by one
+# power), to full double precision; the first omitted term is below 3e-19
+# for |t| <= 1/2.  Split by parity for the even and odd parts in t.
+_RGAMMA_EVEN = (
+    1.0, -0.6558780715202539, 0.16653861138229148, -0.009621971527876973,
+    -0.0011651675918590652, 0.0001280502823881162, -1.2504934821426706e-06,
+    -2.056338416977607e-07, 5.002007644469223e-09, 1.0434267116911005e-10,
+    -3.696805618642206e-12,
+)
+_RGAMMA_ODD = (
+    0.5772156649015329, -0.04200263503409524, -0.04219773455554433,
+    0.0072189432466631, -0.00021524167411495098, -2.013485478078824e-05,
+    1.133027231981696e-06, 6.116095104481416e-09, -1.18127457048702e-09,
+    7.782263439905071e-12,
+)
 
 
-def _bessel_k_int_series(m: int, x: float, tol: float) -> float:
-    # A&S 9.6.11: K_m on x <= 2 with the log and digamma pieces written out.
+def _k_temme(mu: float, x, tol: float):
+    # Temme's series for K_mu, K_{mu+1}, x <= 2, |mu| <= 1/2 (Numerical Recipes
+    # section 6.7), uniform in mu, integer mu included.  x is a float, or an
+    # ndarray summed until every entry has converged.  Gamma_1 =
+    # (1/Gamma(1-mu) - 1/Gamma(1+mu)) / (2 mu) is minus the odd part of the
+    # series of 1/Gamma(1+t) divided by t, and Gamma_2 its even part, so
+    # neither is formed as a cancelling difference.
+    mu2 = mu * mu
+    even = odd = 0.0
+    for a in reversed(_RGAMMA_EVEN):
+        even = even * mu2 + a
+    for a in reversed(_RGAMMA_ODD):
+        odd = odd * mu2 + a
+    fact = math.pi * mu / math.sin(math.pi * mu) if mu else 1.0
+    xp = np if isinstance(x, np.ndarray) else math
     half_x = 0.5 * x
-    q = x * x / 4.0
-    finite = 0.0
-    if m > 0:
-        t = 0.5 * half_x ** (-m) * math.exp(log_gamma(m))  # k = 0 term of the finite sum
-        for k in range(m):
-            finite += t
-            if k + 1 < m:
-                t *= -q / ((k + 1.0) * (m - k - 1.0))
-    log_part = (-1.0) ** (m + 1) * math.log(half_x) * bessel_i(m, x, tol)
-    # digamma at positive integers, built incrementally
-    gamma_e = 0.57721566490153286060651209008240243
-    psi_a = -gamma_e  # psi(1)
-    psi_b = -gamma_e + sum(1.0 / j for j in range(1, m + 1))  # psi(m+1)
-    t = half_x ** m * math.exp(-log_gamma(m + 1.0))
-    series = 0.0
-    k = 0
-    while True:
-        series += (psi_a + psi_b) * t
-        k += 1
-        psi_a += 1.0 / k
-        psi_b += 1.0 / (m + k)
-        t *= q / (k * (m + k))
-        # the series alone can pass near zero, so gauge the tail against the
-        # other assembled pieces as well
-        scale = abs(series) + abs(log_part) + abs(finite) + 1e-300
-        if t * (abs(psi_a) + abs(psi_b)) < tol * scale and k > 2:
+    d = -xp.log(half_x)
+    e = mu * d
+    # sinh(mu d) / mu -> d as mu -> 0
+    ff = fact * (-odd * xp.cosh(e) + even * (xp.sinh(e) / mu if mu else d))
+    e = xp.exp(e)
+    p = 0.5 * e / (even + mu * odd)  # 0.5 (x/2)^-mu Gamma(1+mu)
+    q = 0.5 / (e * (even - mu * odd))  # 0.5 (x/2)^mu Gamma(1-mu)
+    c = 1.0
+    quarter_x2 = half_x * half_x
+    k_mu, k_mu1 = ff, p
+    for i in range(1, 10001):
+        ff = (i * ff + p + q) / (i * i - mu2)
+        c = c * quarter_x2 / i
+        p = p / (i - mu)
+        q = q / (i + mu)
+        term = c * ff
+        k_mu = k_mu + term
+        k_mu1 = k_mu1 + c * (p - i * ff)
+        if xp is math:
+            if abs(term) < tol * abs(k_mu):
+                break
+        elif np.all(np.abs(term) < tol * np.abs(k_mu)):
             break
-        if k > 10000:
-            raise ConvergenceError("integer-order K series did not converge")
-    series *= (-1.0) ** m * 0.5
-    return finite + log_part + series
-
-
-def _bessel_k_reflected(nu: float, x: float, tol: float) -> float:
-    # (pi/2)(I_{-nu} - I_nu)/sin(pi nu); sound on x <= 2 where the e^{2x}
-    # cancellation amplification stays inside a couple of digits.
-    return (
-        0.5
-        * math.pi
-        * (_bessel_i_signed(-nu, x, tol) - _bessel_i_signed(nu, x, tol))
-        / _sin_pi(nu)
-    )
+    else:
+        raise ConvergenceError("K series did not converge")
+    return k_mu, k_mu1 / half_x
 
 
 def _bessel_k_cf2(mu: float, x: float) -> tuple[float, float]:
@@ -359,80 +348,96 @@ def _bessel_k_cf2(mu: float, x: float) -> tuple[float, float]:
             break
     else:
         raise ConvergenceError("K continued fraction did not converge")
-    h = a1 * h
     k_mu = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
-    k_mu1 = k_mu * (mu + x + 0.5 - h) / x
-    return k_mu, k_mu1
+    return k_mu, k_mu * (mu + x + 0.5 - a1 * h) / x
 
 
-_K_NEAR_INT_BAND = 1e-4
-_K_STENCIL = 1e-3
+def _bessel_k_cf2_array(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _bessel_k_cf2 over an array.  Entries leave the iteration as they
+    # converge: the recurrence terms of an entry at large x keep growing past
+    # its own few steps and would overflow over the dozens that x near 2 needs.
+    a1 = 0.25 - mu * mu
+    a, c = -a1, a1
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2, q = np.zeros_like(x), np.ones_like(x), np.full_like(x, a1)
+    s = 1.0 + q * delh
+    h_out, s_out = np.empty_like(x), np.empty_like(x)
+    pos = np.arange(x.size)
+    for i in range(2, 40001):
+        a -= 2.0 * (i - 1)
+        c = -a * c / i
+        qnew = (q1 - b * q2) / a
+        q1, q2 = q2, qnew
+        q = q + c * qnew
+        b = b + 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h = h + delh
+        dels = q * delh
+        s = s + dels
+        done = np.abs(dels / s) < 1e-16
+        if done.any():
+            h_out[pos[done]], s_out[pos[done]] = h[done], s[done]
+            live = ~done
+            if not live.any():
+                break
+            pos, b, d, h, delh, q1, q2, q, s = (v[live] for v in (pos, b, d, h, delh, q1, q2, q, s))
+    else:
+        raise ConvergenceError("K continued fraction did not converge")
+    k_mu = np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) / s_out
+    return k_mu, k_mu * (mu + x + 0.5 - a1 * h_out) / x
+
+
+def _k_upward(nl: int, mu: float, x, k_mu, k_mu1):
+    # K_{mu+j+1} = K_{mu+j-1} + 2 (mu+j)/x K_{mu+j} up to K_{mu+nl}, and no
+    # further: K_{mu+nl+1} can overflow where K_{mu+nl} does not
+    if nl == 0:
+        return k_mu
+    for j in range(1, nl):
+        k_mu, k_mu1 = k_mu1, k_mu + 2.0 * (mu + j) / x * k_mu1
+    return k_mu1
+
+
+def _k_order(nu: float, x_min: float) -> tuple[int, float]:
+    # Order set-up shared by both K kernels: nu = nl + mu with |mu| <= 1/2,
+    # once K_nu at the smallest argument is known to fit the double range
+    # (small-x magnitude estimate ~ Gamma(nu)/2 * (2/x)^nu).
+    if x_min < 2.0 and nu > 0.0 and log_gamma(nu) - math.log(2.0) + nu * math.log(2.0 / x_min) > _OVERFLOW_LOG:
+        raise OverflowError(f"K_{nu}({x_min}) exceeds the double range")
+    nl = int(nu + 0.5)
+    return nl, nu - nl
 
 
 def bessel_k(nu: float, x: float, tol: float = 1e-14) -> float:
     """K_nu(x) for real order, x > 0.
 
-    Three regimes:
-      x > 2   -- continued fraction for the order reduced to [-1/2, 1/2],
-                 then the stable upward recurrence (uniform in nu, integers
-                 included);
-      x <= 2  -- reflection through I_{+-nu} for generic non-integer order,
-                 the A&S 9.6.11 log-type series at exact integers, and a
-                 polynomial extrapolation in the order across the band
-                 |nu - m| < 1e-4 where the reflection denominator degenerates.
-
-    Underflows quietly to 0.0 for x beyond ~745 (useful as a quadrature
+    K_mu and K_{mu+1}, |mu| <= 1/2, come from Temme's series for x <= 2 or
+    the Steed continued fraction for x > 2, and upward recurrence carries
+    them to nu; both regimes hold for any mu, integer or not.  Underflows quietly to 0.0 for x beyond ~745 (useful as a quadrature
     weight tail); raises OverflowError where the value itself exceeds the
     double range (small x with large order).
     """
     if x <= 0.0:
         raise DomainError(f"bessel_k requires x > 0, got {x!r}")
     nu = abs(nu)  # K is even in its order
-    if nu > 0.0:
-        # small-x magnitude estimate ~ Gamma(nu)/2 * (2/x)^nu
-        if x < 2.0 and log_gamma(nu) - math.log(2.0) + nu * math.log(2.0 / x) > _OVERFLOW_LOG:
-            raise OverflowError(f"K_{nu}({x}) exceeds the double range")
-    if x > 2.0:
-        nl = int(nu + 0.5)
-        mu = nu - nl
-        k0, k1 = _bessel_k_cf2(mu, x)
-        for j in range(nl):
-            k0, k1 = k1, k0 + 2.0 * (mu + j + 1.0) / x * k1
-        return k0
-    m = round(nu)
-    if nu == m:
-        return _bessel_k_int_series(int(m), x, tol)
-    delta = nu - m
-    if abs(delta) >= _K_NEAR_INT_BAND:
-        return _bessel_k_reflected(nu, x, tol)
-    eps = _K_STENCIL
-    if m == 0:
-        # even in nu: quadratic through nu^2 in {0, eps^2, 4 eps^2}
-        ts = (0.0, eps * eps, 4.0 * eps * eps)
-        fs = (
-            _bessel_k_int_series(0, x, tol),
-            _bessel_k_reflected(eps, x, tol),
-            _bessel_k_reflected(2.0 * eps, x, tol),
-        )
-        t = nu * nu
-        out = 0.0
-        for i in range(3):
-            li = 1.0
-            for j in range(3):
-                if j != i:
-                    li *= (t - ts[j]) / (ts[i] - ts[j])
-            out += fs[i] * li
-        return out
-    offs = (-2.0 * eps, -eps, 0.0, eps, 2.0 * eps)
-    fs = tuple(
-        _bessel_k_int_series(int(m), x, tol) if o == 0.0 else _bessel_k_reflected(m + o, x, tol)
-        for o in offs
-    )
-    out = 0.0
-    for i in range(5):
-        li = 1.0
-        for j in range(5):
-            if j != i:
-                li *= (delta - offs[j]) / (offs[i] - offs[j])
-        out += fs[i] * li
-    return out
+    nl, mu = _k_order(nu, x)
+    k_mu, k_mu1 = _bessel_k_cf2(mu, x) if x > 2.0 else _k_temme(mu, x, tol)
+    return _k_upward(nl, mu, x, k_mu, k_mu1)
+
+
+def _bessel_k_array(nu: float, x: np.ndarray) -> np.ndarray:
+    """bessel_k(nu, x) for one order over an ndarray of x > 0, in one pass."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0.0):
+        raise DomainError("bessel_k requires x > 0")
+    nu = abs(nu)
+    nl, mu = _k_order(nu, float(x.min()))
+    k_mu, k_mu1 = np.empty_like(x), np.empty_like(x)
+    small = x <= 2.0
+    if small.any():
+        k_mu[small], k_mu1[small] = _k_temme(mu, x[small], 1e-14)
+    if not small.all():
+        k_mu[~small], k_mu1[~small] = _bessel_k_cf2_array(mu, x[~small])
+    return _k_upward(nl, mu, x, k_mu, k_mu1)

@@ -9,8 +9,10 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from scipy.special import gammaln, ive, logsumexp
 
 from fhpt.cli import main, parse_z
+from fhpt.model import PotentialParams
 
 
 def run_cli(*args):
@@ -200,3 +202,37 @@ def test_half_interval_flag_changes_scale():
     half = json.loads(run_cli("wavefunction", "--n", "0", "--samples", "3", "--interval", "half", "--format", "json").stdout)
     ratio = half["rows"][1][1] / full["rows"][1][1]
     assert ratio == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("z", ["0.5", "30@0.4"])
+def test_coherent_weights_at_large_well_strength(z):
+    # A = 100 gives 2L = 199; at |z| = 0.5 the normalizer I_199(1) ~ 1e-432
+    # lies below the double range, at |z| = 30 it does not
+    res = run_cli("coherent", "--A", "100", "--z", z, "--format", "json")
+    assert res.returncode == 0, res.stderr
+    rows = np.array(json.loads(res.stdout)["rows"], dtype=float)
+    L = PotentialParams(A=100.0).L
+    r = abs(parse_z(z))
+    n = np.arange(400.0)
+    log_terms = (2.0 * n + 2.0 * L) * math.log(r) - gammaln(n + 1.0) - gammaln(n + 2.0 * L + 1.0)
+    log_norm = logsumexp(log_terms)  # ln I_(2L)(2r), summed term by term
+    scaled = ive(2.0 * L, 2.0 * r)
+    if scaled > 0.0:
+        assert log_norm == pytest.approx(math.log(scaled) + 2.0 * r, rel=1e-13)
+    ref = np.exp(log_terms[: len(rows)] - log_norm)
+    assert np.max(np.abs(rows[:, 1] - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_expect_at_large_well_strength():
+    res = run_cli("expect", "--A", "100", "--z", "0.5", "--format", "json")
+    assert res.returncode == 0, res.stderr
+    rows = {name: value for name, value in json.loads(res.stdout)["rows"]}
+    assert rows["weight_sum"] == pytest.approx(1.0, abs=1e-12)
+    assert rows["raising_mean_re"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_verify_exits_two_when_the_k_grid_overflows():
+    # 2L = 45: K_45 at the first grid node exceeds the double range
+    res = run_cli("verify", "--A", "23")
+    assert res.returncode == 2
+    assert "exceeds the double range" in res.stderr

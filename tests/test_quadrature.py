@@ -9,6 +9,7 @@ import scipy.special as sps
 from fhpt.errors import DomainError, IntegrationError
 from fhpt.quadrature import (
     TruncationWarning,
+    _k_weighted_grid,
     default_r_max,
     gauss_legendre,
     integrate_finite,
@@ -126,3 +127,13 @@ def test_k_weighted_rejects_bad_scale():
         integrate_semi_infinite_k_weight(lambda r: r, 1.0, r_max=10.0, a=-1.0)
     with pytest.raises(DomainError):
         integrate_semi_infinite_k_weight(lambda r: r, 1.0, r_max=1e-7)
+
+
+def test_k_grid_cache_is_bounded():
+    rule = gauss_legendre(20)
+    for k in range(40):
+        integrate_semi_infinite_k_weight(lambda r: r**3.0, 0.5 + 0.01 * k, r_max=30.0, rule=rule)
+    info = _k_weighted_grid.cache_info()
+    assert info.maxsize == 32 and info.currsize <= 32
+    nodes, wk = _k_weighted_grid(0.89, 2.0, 1e-6, 30.0, 32, rule)
+    assert _k_weighted_grid(0.89, 2.0, 1e-6, 30.0, 32, rule)[1] is wk

@@ -11,6 +11,7 @@ import scipy.special as sps
 
 from fhpt.errors import DomainError
 from fhpt.special import (
+    _bessel_k_array,
     assoc_legendre_half_shift,
     bessel_i,
     bessel_k,
@@ -290,6 +291,48 @@ def test_bessel_k_near_integer_band_is_smooth():
         for x in (0.3, 1.5):
             ref = float(mpmath.besselk(nu, x))
             assert bessel_k(nu, x) == pytest.approx(ref, rel=5e-11)
+
+
+def test_bessel_k_across_former_band_edges():
+    # orders just outside 1e-4 of an integer, where a reflection formula
+    # through I_(-nu) - I_nu loses digits, and x on both sides of x = 2
+    for nu in (1.00001e-4, 1.0 - 1.00001e-4, 1.0 + 1.00001e-4, 3.0 - 5e-5, 3.0 + 5e-5):
+        for x in (1e-3, 0.5, 1.9, 2.0):
+            ref = float(mpmath.besselk(nu, x))
+            assert abs(bessel_k(nu, x) - ref) <= 1e-13 * ref, (nu, x)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 2.5, 20.00003, 39.7, 40.0])
+def test_bessel_k_array_matches_mpmath_and_scalar(nu):
+    x = np.geomspace(2e-6, 1200.0, 61)  # crosses the regime boundary at x = 2
+    got = _bessel_k_array(nu, x)
+    ref = np.array([float(mpmath.besselk(nu, xi)) for xi in x])
+    scalar = np.array([bessel_k(nu, xi) for xi in x])
+    normal = ref > 1e-300
+    assert np.max(np.abs(got - ref)[normal] / ref[normal]) < 1e-14
+    assert np.max(np.abs(got - scalar)[normal] / ref[normal]) < 1e-14
+    assert np.all(got[~normal] < 1e-290)
+
+
+def test_bessel_k_array_overflow_matches_scalar():
+    # a K-grid from r = 1e-6 at order 45: the smallest node overflows
+    x = 2.0 * np.geomspace(1e-6, 30.0, 200)
+    with pytest.raises(OverflowError) as arr:
+        _bessel_k_array(45.0, x)
+    with pytest.raises(OverflowError) as scalar:
+        bessel_k(45.0, float(x[0]))
+    assert str(arr.value) == str(scalar.value)
+
+
+def test_bessel_k_array_domain():
+    with pytest.raises(DomainError):
+        _bessel_k_array(1.0, np.array([1.0, 0.0]))
+
+
+def test_bessel_i_below_double_range():
+    # I_199(1) ~ 1e-432: the value underflows to zero, never to a wrong number
+    assert bessel_i(199.0, 1.0) == 0.0
+    assert bessel_i(150.0, 1.0) == pytest.approx(float(mpmath.besseli(150, 1)), rel=1e-13)
 
 
 def test_bessel_k_even_in_order():
