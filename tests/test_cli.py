@@ -88,6 +88,275 @@ def test_out_flag_writes_file(tmp_path):
     assert target.read_text() == GOLDEN_SPECTRUM
 
 
+# byte-for-byte table output of the other commands, captured before the CLI
+# glue was shared between them
+
+GOLDEN_TABLES = {
+    ('wavefunction', '--A', '1.5', '--n', '2', '--samples', '3', '--format', 'csv'): """# fhpt-table/1 command=wavefunction
+# A=1.5
+# c1=1.0
+# m0=0.5
+# c=1.0
+# hbar=1.0
+# n=2
+# interval=full
+# samples=3
+tau,psi
+-0.7853981633974483,0.7225259014719703
+0.0,-0.8100925873009844
+0.7853981633974483,0.7225259014719703
+# a_prime=3.0
+# norm_constant=0.5400617248673224
+""",
+    ('coherent', '--z', '0.3@0.4', '--tail-tol', '1e-6', '--format', 'csv'): """# fhpt-table/1 command=coherent
+# A=2.0
+# c1=1.0
+# m0=0.5
+# c=1.0
+# hbar=1.0
+# z_re=0.2763182982008655
+# z_im=0.11682550269259515
+# tail_tol=1e-06
+n,weight,phase
+0,0.977800491137564,0.0
+1,0.022000511050595195,0.4
+2,0.00019800459945535677,0.8
+3,9.900229972767853e-07,1.2000000000000002
+# truncation_level=3
+# tail_bound=4.2429557026148e-09
+# weight_sum=0.9999999968106118
+# mean_level=0.02239949031849773
+# mean_gamma0=2.022399490318498
+# lowering_residual=5.938894922252167e-17
+""",
+    ('resolution', '--nmax', '1', '--quad-order', '40', '--format', 'csv'): """# fhpt-table/1 command=resolution
+# A=2.0
+# c1=1.0
+# m0=0.5
+# c=1.0
+# hbar=1.0
+# nmax=1
+# quad_order=40
+n,value,deviation
+0,1.0000000000000013,1.3322676295501878e-15
+1,1.0000000000000018,1.7763568394002505e-15
+# r_max=65.0
+# max_abs_deviation=1.7763568394002505e-15
+""",
+    ('expect', '--A', '3', '--z', '0.5+0.5i', '--tail-tol', '1e-8', '--format', 'csv'): """# fhpt-table/1 command=expect
+# A=3.0
+# c1=1.0
+# m0=0.5
+# c=1.0
+# hbar=1.0
+# z_re=0.5
+# z_im=0.5
+# tail_tol=1e-08
+observable,value
+level_mean,0.08236145736913436
+level_variance,0.08140929950066074
+gamma0_mean,3.0823614573691342
+momentum_mean,9.582361452831735
+raising_mean_re,0.49999999600630013
+raising_mean_im,-0.49999999600630013
+weight_sum,0.9999999999395892
+# truncation_level=5
+# tail_bound=8.00705979274831e-11
+""",
+    ('wavefunction', '--A', '1.5', '--n', '2', '--samples', '3', '--format', 'json'): """{
+  "version": "fhpt-table/1",
+  "command": "wavefunction",
+  "config": {
+    "A": 1.5,
+    "c1": 1.0,
+    "m0": 0.5,
+    "c": 1.0,
+    "hbar": 1.0,
+    "n": 2,
+    "interval": "full",
+    "samples": 3
+  },
+  "columns": [
+    "tau",
+    "psi"
+  ],
+  "rows": [
+    [
+      -0.7853981633974483,
+      0.7225259014719703
+    ],
+    [
+      0.0,
+      -0.8100925873009844
+    ],
+    [
+      0.7853981633974483,
+      0.7225259014719703
+    ]
+  ],
+  "summary": {
+    "a_prime": 3.0,
+    "norm_constant": 0.5400617248673224
+  }
+}
+""",
+    ('coherent', '--z', '0.3@0.4', '--tail-tol', '1e-6', '--format', 'json'): """{
+  "version": "fhpt-table/1",
+  "command": "coherent",
+  "config": {
+    "A": 2.0,
+    "c1": 1.0,
+    "m0": 0.5,
+    "c": 1.0,
+    "hbar": 1.0,
+    "z_re": 0.2763182982008655,
+    "z_im": 0.11682550269259515,
+    "tail_tol": 1e-06
+  },
+  "columns": [
+    "n",
+    "weight",
+    "phase"
+  ],
+  "rows": [
+    [
+      0,
+      0.977800491137564,
+      0.0
+    ],
+    [
+      1,
+      0.022000511050595195,
+      0.4
+    ],
+    [
+      2,
+      0.00019800459945535677,
+      0.8
+    ],
+    [
+      3,
+      9.900229972767853e-07,
+      1.2000000000000002
+    ]
+  ],
+  "summary": {
+    "truncation_level": 3,
+    "tail_bound": 4.2429557026148e-09,
+    "weight_sum": 0.9999999968106118,
+    "mean_level": 0.02239949031849773,
+    "mean_gamma0": 2.022399490318498,
+    "lowering_residual": 5.938894922252167e-17
+  }
+}
+""",
+    ('resolution', '--nmax', '1', '--quad-order', '40', '--format', 'json'): """{
+  "version": "fhpt-table/1",
+  "command": "resolution",
+  "config": {
+    "A": 2.0,
+    "c1": 1.0,
+    "m0": 0.5,
+    "c": 1.0,
+    "hbar": 1.0,
+    "nmax": 1,
+    "quad_order": 40
+  },
+  "columns": [
+    "n",
+    "value",
+    "deviation"
+  ],
+  "rows": [
+    [
+      0,
+      1.0000000000000013,
+      1.3322676295501878e-15
+    ],
+    [
+      1,
+      1.0000000000000018,
+      1.7763568394002505e-15
+    ]
+  ],
+  "summary": {
+    "r_max": 65.0,
+    "max_abs_deviation": 1.7763568394002505e-15
+  }
+}
+""",
+    ('expect', '--A', '3', '--z', '0.5+0.5i', '--tail-tol', '1e-8', '--format', 'json'): """{
+  "version": "fhpt-table/1",
+  "command": "expect",
+  "config": {
+    "A": 3.0,
+    "c1": 1.0,
+    "m0": 0.5,
+    "c": 1.0,
+    "hbar": 1.0,
+    "z_re": 0.5,
+    "z_im": 0.5,
+    "tail_tol": 1e-08
+  },
+  "columns": [
+    "observable",
+    "value"
+  ],
+  "rows": [
+    [
+      "level_mean",
+      0.08236145736913436
+    ],
+    [
+      "level_variance",
+      0.08140929950066074
+    ],
+    [
+      "gamma0_mean",
+      3.0823614573691342
+    ],
+    [
+      "momentum_mean",
+      9.582361452831735
+    ],
+    [
+      "raising_mean_re",
+      0.49999999600630013
+    ],
+    [
+      "raising_mean_im",
+      -0.49999999600630013
+    ],
+    [
+      "weight_sum",
+      0.9999999999395892
+    ]
+  ],
+  "summary": {
+    "truncation_level": 5,
+    "tail_bound": 8.00705979274831e-11
+  }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_TABLES), ids=" ".join)
+def test_table_golden_output(args, capsys):
+    assert main(list(args)) == 0
+    assert capsys.readouterr().out == GOLDEN_TABLES[args]
+
+
+def test_verify_out_flag_matches_stdout(tmp_path, capsys):
+    args = ["verify", "--nmax", "2", "--quad-order", "40"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "report.csv"
+    assert main([*args, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == printed
+
+
 # schemas
 
 TABLE_SCHEMA = {
