@@ -9,7 +9,6 @@ every identity numerically through a named check suite (also exposed as the
 """
 
 from .algebra import (
-    EnvelopeImage,
     LadderCoefficients,
     apply_lowering,
     apply_raising,
@@ -67,7 +66,6 @@ __all__ = [
     "CoherentState",
     "ConvergenceError",
     "DomainError",
-    "EnvelopeImage",
     "GegenbauerPoly",
     "IntegrationError",
     "LadderCoefficients",

@@ -1,9 +1,12 @@
 """First-order ladder maps between neighbouring levels and their su(1,1) data.
 
 Both operators act on the envelope-times-polynomial form of a state and land
-exactly on the neighbouring polynomial degree, so the implementation is pure
-coefficient arithmetic: multiply by y, differentiate, recombine.  The level
-shift keeps the envelope exponent fixed; only the polynomial changes.
+exactly on the neighbouring polynomial degree: multiply by y, differentiate,
+recombine.  The level shift keeps the envelope exponent fixed; only the
+polynomial changes.  Images are evaluated pointwise in y = sin(tau) from the
+Gegenbauer recurrence, with C_n' = 2 lam C_{n-1}^{lam+1} (DLMF 18.9.19), so
+they stay accurate across the whole level range; monomial coefficients of
+C_n^lam cancel catastrophically once n passes about 15.
 
 Sign and prefactor conventions are pinned by the eigenvalue relations
 
@@ -20,13 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError
-from .model import BasisState, PotentialParams, build_basis_state, eval_state
+from .model import BasisState, PotentialParams, _poly_derivatives, build_basis_state, eval_state
 
 __all__ = [
-    "EnvelopeImage",
     "LadderCoefficients",
     "apply_lowering",
     "apply_raising",
@@ -57,62 +58,50 @@ def ladder_coefficients(n: int, L: float) -> LadderCoefficients:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class EnvelopeImage:
-    """(1 - y^2)^(lam/2) times a polynomial in y, y = sin(tau)."""
+def _raise_pref(k: int, L: float) -> float:
+    return math.sqrt((2.0 * k + 2.0 * L + 3.0) / (2.0 * k + 2.0 * L + 1.0))
 
-    lam: float
-    coeffs: np.ndarray
 
-    def __call__(self, y) -> np.ndarray | float:
+def _lower_pref(k: int, L: float) -> float:
+    return math.sqrt((2.0 * k + 2.0 * L - 1.0) / (2.0 * k + 2.0 * L + 1.0))
+
+
+def _envelope_image(state: BasisState, bracket):
+    # image(y) = (1 - y^2)^(lam/2) * bracket(y, u, u') with u = scale * C_n^lam
+    def image(y) -> np.ndarray | float:
         yv = np.asarray(y, dtype=float)
-        vals = (1.0 - yv * yv) ** (0.5 * self.lam) * npoly.polyval(yv, self.coeffs)
+        u, du, _ = _poly_derivatives(state, yv)
+        vals = (1.0 - yv * yv) ** (0.5 * state.lam) * bracket(yv, u, du)
         if np.isscalar(y):
             return float(vals)
         return vals
 
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.coeffs == 0.0))
+    return image
 
 
-def _one_minus_y2_deriv(coeffs: np.ndarray) -> np.ndarray:
-    du = npoly.polyder(coeffs)
-    return npoly.polysub(du, npoly.polymulx(npoly.polymulx(du)))
+def apply_raising(state: BasisState):
+    """Image of the raising map on a basis state, as a function of y = sin(tau)."""
+    k, lam, pref = state.n, state.lam, _raise_pref(state.n, state.L)
+    return _envelope_image(state, lambda y, u, du: pref * ((k + 2.0 * lam) * y * u - (1.0 - y * y) * du))
 
 
-def _raise_image(k: int, L: float, lam: float, coeffs: np.ndarray) -> np.ndarray:
-    pref = math.sqrt((2.0 * k + 2.0 * L + 3.0) / (2.0 * k + 2.0 * L + 1.0))
-    poly = npoly.polysub((k + 2.0 * lam) * npoly.polymulx(coeffs), _one_minus_y2_deriv(coeffs))
-    return pref * poly
-
-
-def _lower_image(k: int, L: float, lam: float, coeffs: np.ndarray) -> np.ndarray:
-    pref = math.sqrt((2.0 * k + 2.0 * L - 1.0) / (2.0 * k + 2.0 * L + 1.0))
-    poly = npoly.polyadd(k * npoly.polymulx(coeffs), _one_minus_y2_deriv(coeffs))
-    return pref * poly
-
-
-def apply_raising(state: BasisState) -> EnvelopeImage:
-    """Image of the raising map on a basis state, as envelope-plus-polynomial data."""
-    coeffs = state.scale * state.poly.coeffs
-    return EnvelopeImage(state.lam, _raise_image(state.n, state.L, state.lam, coeffs))
-
-
-def apply_lowering(state: BasisState) -> EnvelopeImage:
+def apply_lowering(state: BasisState):
     """Image of the lowering map; the ground level is annihilated exactly."""
-    coeffs = state.scale * state.poly.coeffs
-    if state.n == 0:
-        return EnvelopeImage(state.lam, np.zeros(1))
-    return EnvelopeImage(state.lam, _lower_image(state.n, state.L, state.lam, coeffs))
+    k = state.n
+    if k == 0:
+        return _envelope_image(state, lambda y, u, du: np.zeros_like(y))
+    pref = _lower_pref(k, state.L)
+    return _envelope_image(state, lambda y, u, du: pref * (k * y * u + (1.0 - y * y) * du))
 
 
 def commutator_residual(n: int, params: PotentialParams, grid: np.ndarray | None = None) -> float:
     """Pointwise residual of [lower, raise] = 2 gamma0 on level n.
 
-    The two operator chains are composed in coefficient space with the
-    level-shifted prefactors, then compared to 2 (n + L + 1/2) psi_n on a tau
-    grid.  Returns the max deviation scaled by max |psi_n|.
+    The two operator chains are composed pointwise: the first map's image and
+    its y-derivative come from the product rule on u, u', u'', and the second
+    map acts on them with the level-shifted prefactor.  The result is compared
+    to 2 (n + L + 1/2) psi_n on a tau grid; returns the max deviation scaled by
+    max |psi_n|.
     """
     if grid is None:
         grid = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, 201)
@@ -122,22 +111,22 @@ def commutator_residual(n: int, params: PotentialParams, grid: np.ndarray | None
             raise DomainError("grid must lie strictly inside (-pi/2, pi/2)")
     state = build_basis_state(n, params)
     L, lam = state.L, state.lam
-    base = state.scale * state.poly.coeffs
-
-    up = _raise_image(n, L, lam, base)
-    up_down = _lower_image(n + 1, L, lam, up)
-
-    down = _lower_image(n, L, lam, base) if n > 0 else np.zeros(1)
-    if np.all(down == 0.0):
-        down_up = np.zeros(1)
-    else:
-        down_up = _raise_image(n - 1, L, lam, down)
-
-    gamma0 = n + L + 0.5
-    resid_poly = npoly.polysub(npoly.polysub(up_down, down_up), 2.0 * gamma0 * base)
     y = np.sin(grid)
-    env = np.cos(grid) ** lam
-    resid = env * npoly.polyval(y, resid_poly)
+    w = 1.0 - y * y
+    u, du, d2u = _poly_derivatives(state, y)
+
+    a = n + 2.0 * lam
+    up = _raise_pref(n, L) * (a * y * u - w * du)
+    d_up = _raise_pref(n, L) * (a * u + (a + 2.0) * y * du - w * d2u)
+    up_down = _lower_pref(n + 1, L) * ((n + 1) * y * up + w * d_up)
+
+    down_up = np.zeros_like(y)
+    if n > 0:
+        down = _lower_pref(n, L) * (n * y * u + w * du)
+        d_down = _lower_pref(n, L) * (n * u + (n - 2.0) * y * du + w * d2u)
+        down_up = _raise_pref(n - 1, L) * ((a - 1.0) * y * down - w * d_down)
+
+    resid = np.cos(grid) ** lam * (up_down - down_up - 2.0 * (n + L + 0.5) * u)
     psi = eval_state(state, grid)
     return float(np.max(np.abs(resid)) / np.max(np.abs(psi)))
 

@@ -13,7 +13,7 @@ parameters; the rest follow the configured well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .coherent import (
     radial_weight_moment,
     resolution_of_identity_check,
 )
-from .model import PotentialParams, build_basis_state, eval_state, momentum_level, overlap, residual_ode
+from .errors import DomainError
+from .model import _MAX_LEVEL, PotentialParams, build_basis_state, eval_state, momentum_level, overlap, residual_ode
 from .quadrature import default_r_max, gauss_legendre, integrate_semi_infinite_k_weight
 from .special import bessel_i, bessel_k, gamma_fn
 
@@ -44,17 +45,15 @@ class CheckConfig:
     quad_order: int = 200
     tol_override: float | None = None
 
+    def __post_init__(self) -> None:
+        # every level-ranged check covers 0..nmax, and ladder-raising at nmax
+        # needs level nmax + 1
+        n, top = self.nmax, _MAX_LEVEL - 1
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= top:
+            raise DomainError(f"nmax must be an integer in [0, {top}], got {n!r}")
+
     def to_dict(self) -> dict:
-        return {
-            "A": self.A,
-            "c1": self.c1,
-            "m0": self.m0,
-            "c": self.c,
-            "hbar": self.hbar,
-            "nmax": self.nmax,
-            "quad_order": self.quad_order,
-            "tol_override": self.tol_override,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,8 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     checks: list[CheckResult] = []
 
     # master equation residual, level by level
-    r = max(residual_ode(n, params) for n in range(min(config.nmax, 20) + 1))
+    levels = range(config.nmax + 1)
+    r = max(residual_ode(n, params) for n in levels)
     checks.append(_result("ode-residual", "secant-well-equation", r, 1e-9, ov))
 
     # squared-integer spectrum at unit well strength in natural units
@@ -125,18 +125,16 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     # orthonormality of the basis under the t measure
     rule = gauss_legendre(config.quad_order)
     rule2 = gauss_legendre(2 * config.quad_order)
-    nb = min(config.nmax, 20)
-    gram = np.array([[overlap(i, j, params, rule) for j in range(nb + 1)] for i in range(nb + 1)])
-    gram2 = np.array([[overlap(i, j, params, rule2) for j in range(nb + 1)] for i in range(nb + 1)])
-    checks.append(_result("gram-identity", "basis-orthonormality", np.max(np.abs(gram - np.eye(nb + 1))), 1e-10, ov))
+    gram = np.array([[overlap(i, j, params, rule) for j in levels] for i in levels])
+    gram2 = np.array([[overlap(i, j, params, rule2) for j in levels] for i in levels])
+    checks.append(_result("gram-identity", "basis-orthonormality", np.max(np.abs(gram - np.eye(len(levels)))), 1e-10, ov))
     checks.append(_result("gram-order-doubling", "quadrature-convergence", np.max(np.abs(gram - gram2)), 1e-12, ov))
 
     # ladder maps against their eigenvalue relations
-    nlad = min(config.nmax, 15)
     y = np.sin(_TAU_GRID)
     worst_up = 0.0
     worst_dn = 0.0
-    for n in range(nlad + 1):
+    for n in levels:
         st = build_basis_state(n, params)
         lc = ladder_coefficients(n, L)
         up = apply_raising(st)(y)
@@ -152,7 +150,7 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     ground = apply_lowering(build_basis_state(0, params))(y)
     checks.append(_result("ground-annihilation", "lowering-kills-ground", np.max(np.abs(ground)), 1e-10, ov))
 
-    r = max(commutator_residual(n, params) for n in range(min(config.nmax, 12) + 1))
+    r = max(commutator_residual(n, params) for n in levels)
     checks.append(_result("commutator", "ladder-commutator", r, 1e-9, ov))
 
     cas = L * L - 0.25
@@ -173,11 +171,10 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     checks.append(_result("lowering-eigenstate", "annihilation-eigenrelation", r, 1e-10, ov))
 
     # completeness over the label plane: diagonal moments equal 1
-    nres = min(config.nmax, 10)
-    shared_r_max = default_r_max(2.0 * nres + 2.0 * L + 1.0)
+    shared_r_max = default_r_max(2.0 * config.nmax + 2.0 * L + 1.0)
     r = max(
         abs(resolution_of_identity_check(n, n, params, rule=rule, r_max=shared_r_max) - 1.0)
-        for n in range(nres + 1)
+        for n in levels
     )
     checks.append(_result("identity-resolution", "label-plane-completeness", r, 1e-7, ov))
 

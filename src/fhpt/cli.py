@@ -52,8 +52,13 @@ def parse_z(text: str) -> complex:
         raise DomainError(f"cannot parse complex value {text!r}") from None
 
 
+def _config(args: argparse.Namespace, **extra) -> dict:
+    """The well parameters of a command, followed by its own settings in order."""
+    return {"A": args.A, "c1": args.c1, "m0": args.m0, "c": args.c, "hbar": args.hbar, **extra}
+
+
 def _params(args: argparse.Namespace) -> PotentialParams:
-    return PotentialParams(A=args.A, c1=args.c1, m0=args.m0, c=args.c, hbar=args.hbar)
+    return PotentialParams(**_config(args))
 
 
 def _fmt_cell(v) -> str:
@@ -85,6 +90,10 @@ def _emit(args: argparse.Namespace, command: str, config: dict, columns: list[st
         for k, v in summary.items():
             lines.append(f"# {k}={_fmt_cell(v)}")
         text = "\n".join(lines) + "\n"
+    _write(args, text)
+
+
+def _write(args: argparse.Namespace, text: str) -> None:
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -94,7 +103,7 @@ def _emit(args: argparse.Namespace, command: str, config: dict, columns: list[st
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params(args)
     rows = [[n, momentum_level(n, params)] for n in range(args.nmax + 1)]
-    config = {"A": args.A, "c1": args.c1, "m0": args.m0, "c": args.c, "hbar": args.hbar, "nmax": args.nmax}
+    config = _config(args, nmax=args.nmax)
     summary = {"a_prime": params.a_prime, "L": params.L, "mass_scale": params.mass_scale}
     _emit(args, "spectrum", config, ["n", "momentum"], rows, summary)
     return 0
@@ -107,16 +116,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     tau = -0.5 * np.pi + (k + 1.0) * np.pi / (args.samples + 1.0)
     psi = eval_state(state, tau)
     rows = [[float(t), float(p)] for t, p in zip(tau, psi)]
-    config = {
-        "A": args.A,
-        "c1": args.c1,
-        "m0": args.m0,
-        "c": args.c,
-        "hbar": args.hbar,
-        "n": args.n,
-        "interval": args.interval,
-        "samples": args.samples,
-    }
+    config = _config(args, n=args.n, interval=args.interval, samples=args.samples)
     summary = {"a_prime": params.a_prime, "norm_constant": state.norm}
     _emit(args, "wavefunction", config, ["tau", "psi"], rows, summary)
     return 0
@@ -132,16 +132,7 @@ def _cmd_coherent(args: argparse.Namespace) -> int:
     ]
     weights = np.abs(cs.coeffs) ** 2
     mean_level = float(np.dot(weights, np.arange(len(weights))))
-    config = {
-        "A": args.A,
-        "c1": args.c1,
-        "m0": args.m0,
-        "c": args.c,
-        "hbar": args.hbar,
-        "z_re": z.real,
-        "z_im": z.imag,
-        "tail_tol": args.tail_tol,
-    }
+    config = _config(args, z_re=z.real, z_im=z.imag, tail_tol=args.tail_tol)
     summary = {
         "truncation_level": cs.truncation_level,
         "tail_bound": cs.tail_bound,
@@ -164,15 +155,7 @@ def _cmd_resolution(args: argparse.Namespace) -> int:
         v = resolution_of_identity_check(n, n, params, rule=rule, r_max=r_max)
         rows.append([n, float(v), float(abs(v - 1.0))])
         worst = max(worst, abs(v - 1.0))
-    config = {
-        "A": args.A,
-        "c1": args.c1,
-        "m0": args.m0,
-        "c": args.c,
-        "hbar": args.hbar,
-        "nmax": args.nmax,
-        "quad_order": args.quad_order,
-    }
+    config = _config(args, nmax=args.nmax, quad_order=args.quad_order)
     summary = {"r_max": r_max, "max_abs_deviation": worst}
     _emit(args, "resolution", config, ["n", "value", "deviation"], rows, summary)
     return 0
@@ -204,32 +187,14 @@ def _cmd_expect(args: argparse.Namespace) -> int:
         ["raising_mean_im", raising_mean.imag],
         ["weight_sum", cs.norm_sq],
     ]
-    config = {
-        "A": args.A,
-        "c1": args.c1,
-        "m0": args.m0,
-        "c": args.c,
-        "hbar": args.hbar,
-        "z_re": z.real,
-        "z_im": z.imag,
-        "tail_tol": args.tail_tol,
-    }
+    config = _config(args, z_re=z.real, z_im=z.imag, tail_tol=args.tail_tol)
     summary = {"truncation_level": cs.truncation_level, "tail_bound": cs.tail_bound}
     _emit(args, "expect", config, ["observable", "value"], rows, summary)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = CheckConfig(
-        A=args.A,
-        c1=args.c1,
-        m0=args.m0,
-        c=args.c,
-        hbar=args.hbar,
-        nmax=args.nmax,
-        quad_order=args.quad_order,
-        tol_override=args.tol,
-    )
+    config = CheckConfig(**_config(args, nmax=args.nmax, quad_order=args.quad_order, tol_override=args.tol))
     report = run_checks(config)
     for c in report.checks:
         word = "pass" if c.passed else "FAIL"
@@ -253,10 +218,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
         lines.append(f"# pass={_fmt_cell(report.passed)}")
         text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
     return 0 if report.passed else 1
 
 

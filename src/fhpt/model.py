@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 from .quadrature import QuadratureRule, gauss_legendre
-from .special import GegenbauerPoly, gegenbauer_poly, gegenbauer_value, log_gamma
+from .special import gegenbauer_value, log_gamma
 
 __all__ = [
     "BasisState",
@@ -60,9 +60,9 @@ class PotentialParams:
     def __post_init__(self) -> None:
         for name in ("c1", "m0", "c", "hbar"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise DomainError(f"{name} must be a positive finite number, got {v!r}")
-        if not (isinstance(self.A, (int, float)) and math.isfinite(self.A)):
+        if isinstance(self.A, bool) or not (isinstance(self.A, (int, float)) and math.isfinite(self.A)):
             raise DomainError(f"A must be a finite number, got {self.A!r}")
         self.a_prime  # validate admissibility eagerly
 
@@ -113,7 +113,6 @@ class BasisState:
     n: int
     L: float
     lam: float
-    poly: GegenbauerPoly
     norm: float
     scale: float
     interval: str
@@ -141,7 +140,6 @@ def build_basis_state(n: int, params: PotentialParams, interval: str = "full") -
         raise DomainError(f"interval must be 'full' or 'half', got {interval!r}")
     L = params.L
     lam = L + 0.5
-    poly = gegenbauer_poly(int(n), lam)
     norm = _half_interval_norm(int(n), L) * math.sqrt(params.c1)
     if interval == "full":
         norm /= math.sqrt(2.0)
@@ -150,7 +148,7 @@ def build_basis_state(n: int, params: PotentialParams, interval: str = "full") -
     sign = 1.0
     if interval == "half" and L == round(L) and int(round(L)) % 2 == 1:
         sign = -1.0
-    return BasisState(int(n), L, lam, poly, norm, sign * norm * conv, interval)
+    return BasisState(int(n), L, lam, norm, sign * norm * conv, interval)
 
 
 def eval_state(state: BasisState, tau) -> np.ndarray | float:
@@ -165,18 +163,25 @@ def eval_state(state: BasisState, tau) -> np.ndarray | float:
     return vals
 
 
-def _second_derivative(state: BasisState, tau: np.ndarray) -> np.ndarray:
-    # psi'' in tau via the chain rule on the envelope-times-polynomial form;
-    # Gegenbauer derivatives shift (n, lam) -> (n-1, lam+1)
+def _poly_derivatives(state: BasisState, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # scale * C_n^lam(y) and its first two y-derivatives; each derivative
+    # shifts (n, lam) -> (n-1, lam+1) (DLMF 18.9.19), and a negative degree
+    # evaluates to exact zeros
     n, lam = state.n, state.lam
+    u = gegenbauer_value(n, lam, y)
+    du = 2.0 * lam * gegenbauer_value(n - 1, lam + 1.0, y)
+    d2u = 4.0 * lam * (lam + 1.0) * gegenbauer_value(n - 2, lam + 2.0, y)
+    return state.scale * u, state.scale * du, state.scale * d2u
+
+
+def _second_derivative(state: BasisState, tau: np.ndarray) -> np.ndarray:
+    # psi'' in tau via the chain rule on the envelope-times-polynomial form
+    lam = state.lam
     y = np.sin(tau)
     cq = np.cos(tau)
-    u = gegenbauer_value(n, lam, y)
-    du = 2.0 * lam * gegenbauer_value(n - 1, lam + 1.0, y) if n >= 1 else np.zeros_like(y)
-    d2u = 4.0 * lam * (lam + 1.0) * gegenbauer_value(n - 2, lam + 2.0, y) if n >= 2 else np.zeros_like(y)
+    u, du, d2u = _poly_derivatives(state, y)
     core = cq**lam * ((1.0 - y * y) * d2u - (2.0 * lam + 1.0) * y * du - lam * lam * u)
-    sub = lam * (lam - 1.0) * cq ** (lam - 2.0) * u
-    return state.scale * (core + sub)
+    return core + lam * (lam - 1.0) * cq ** (lam - 2.0) * u
 
 
 def potential_value(t, params: PotentialParams):

@@ -47,7 +47,8 @@ __all__ = [
 ]
 
 # Lanczos approximation, g = 7, nine coefficients (the widely published
-# double-precision set; relative error below 1e-14 on the positive axis).
+# double-precision set; gamma_fn stays within 6e-15 of Gamma for x < 20,
+# but the set's own error grows toward 1.9e-13 as x grows).
 _LANCZOS_G = 7.0
 _LANCZOS_C = (
     0.99999999999980993,
@@ -72,17 +73,29 @@ def _lanczos_series(x: float) -> float:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0 by the Lanczos approximation.
+    """Gamma(x) for x > 0: Lanczos below x = 20, Stirling's series from there.
 
     For x < 1/2 one recurrence step Gamma(x) = Gamma(x+1)/x keeps the
     evaluation inside the well-conditioned region of the coefficient set.
+    The Lanczos error drifts toward C0 - 1 = -1.9e-13 as x grows, so large x
+    take Stirling's series with five correction terms (truncation below
+    2e-15 at x = 20).  Its power x^(x - 1/2) is applied in two halves: on its
+    own it overflows from x = 143, while Gamma(x) stays finite up to 171.6.
     """
     if not x > 0.0:
         raise DomainError(f"gamma_fn requires x > 0, got {x!r}")
     if x < 0.5:
         return gamma_fn(x + 1.0) / x
-    t = x + _LANCZOS_G - 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * math.exp(-t) * _lanczos_series(x)
+    if x < 20.0:
+        t = x + _LANCZOS_G - 0.5
+        return math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * math.exp(-t) * _lanczos_series(x)
+    r = 1.0 / (x * x)
+    corr = (1.0 / 12.0 + r * (-1.0 / 360.0 + r * (1.0 / 1260.0 + r * (-1.0 / 1680.0 + r / 1188.0)))) / x
+    p = x ** (0.5 * (x - 0.5))
+    val = math.sqrt(2.0 * math.pi) * p * (p * math.exp(-x)) * math.exp(corr)
+    if math.isinf(val):
+        raise OverflowError(f"gamma_fn({x!r}) exceeds the double range")
+    return val
 
 
 def log_gamma(x: float) -> float:

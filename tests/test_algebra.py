@@ -17,7 +17,7 @@ from fhpt.errors import DomainError
 from fhpt.model import PotentialParams, build_basis_state, eval_state
 from fhpt.quadrature import gauss_legendre, integrate_finite
 
-A_GRID = (1.0, 1.5, 2.0, 3.7)
+A_GRID = (0.55, 0.75, 1.0, 1.5, 2.0, 3.7, 20.0)
 TAU = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, 101)
 
 
@@ -37,7 +37,7 @@ def test_ladder_coefficients_values():
 def test_raising_matches_eigenvalue_relation(A):
     p = PotentialParams(A=A)
     y = np.sin(TAU)
-    for n in range(16):
+    for n in range(100):
         st = build_basis_state(n, p)
         lc = ladder_coefficients(n, p.L)
         image = apply_raising(st)(y)
@@ -49,7 +49,7 @@ def test_raising_matches_eigenvalue_relation(A):
 def test_lowering_matches_eigenvalue_relation(A):
     p = PotentialParams(A=A)
     y = np.sin(TAU)
-    for n in range(1, 16):
+    for n in range(1, 100):
         st = build_basis_state(n, p)
         lc = ladder_coefficients(n, p.L)
         image = apply_lowering(st)(y)
@@ -61,7 +61,6 @@ def test_ground_state_annihilated_exactly():
     for A in A_GRID:
         p = PotentialParams(A=A)
         image = apply_lowering(build_basis_state(0, p))
-        assert image.is_zero
         assert np.max(np.abs(image(np.sin(TAU)))) == 0.0
 
 
@@ -77,7 +76,7 @@ def test_ladder_respects_half_interval_convention():
 @pytest.mark.parametrize("A", A_GRID)
 def test_commutator_closes_on_weight_operator(A):
     p = PotentialParams(A=A)
-    worst = max(commutator_residual(n, p) for n in range(13))
+    worst = max(commutator_residual(n, p) for n in range(100))
     assert worst < 1e-9
 
 

@@ -2,7 +2,12 @@
 
 import json
 
+import pytest
+
+from fhpt.algebra import commutator_residual
 from fhpt.checks import CheckConfig, run_checks
+from fhpt.errors import DomainError
+from fhpt.model import PotentialParams, residual_ode
 
 EXPECTED_CHECKS = {
     "ode-residual",
@@ -59,3 +64,18 @@ def test_report_serializes():
     for row in back["checks"]:
         assert set(row) == {"name", "identity", "residual", "tol", "pass"}
         assert isinstance(row["residual"], float)
+
+
+def test_level_checks_cover_every_level_up_to_nmax():
+    report = run_checks(CheckConfig(nmax=30))
+    assert report.passed
+    got = {c.name: c.residual for c in report.checks}
+    p = PotentialParams(A=2.0)
+    assert got["ode-residual"] == max(residual_ode(n, p) for n in range(31))
+    assert got["commutator"] == max(commutator_residual(n, p) for n in range(31))
+
+
+@pytest.mark.parametrize("nmax", [-1, 100, 1000, True, 2.0, "3"])
+def test_nmax_outside_the_level_range_is_rejected(nmax):
+    with pytest.raises(DomainError):
+        CheckConfig(nmax=nmax)

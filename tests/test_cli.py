@@ -434,6 +434,19 @@ def test_exit_two_on_domain_error():
     assert "error" in res.stderr.lower()
 
 
+@pytest.mark.parametrize("nmax", ["-1", "100", "1000"])
+def test_verify_exits_two_on_nmax_it_cannot_cover(nmax):
+    res = run_cli("verify", "--nmax", nmax)
+    assert res.returncode == 2
+    assert "error: nmax must be an integer in [0, 99]" in res.stderr
+
+
+def test_verify_covers_thirty_levels():
+    res = run_cli("verify", "--A", "2", "--nmax", "30")
+    assert res.returncode == 0, res.stderr
+    assert "all 17 checks passed" in res.stderr
+
+
 def test_exit_two_on_usage_error():
     assert run_cli("nonsense").returncode == 2
     assert run_cli("wavefunction", "--interval", "bogus").returncode == 2

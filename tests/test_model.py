@@ -62,6 +62,9 @@ def test_params_validation():
         PotentialParams(A=math.nan)
     with pytest.raises(DomainError):
         PotentialParams(A=2.0, m0=0.0)
+    for field in ("A", "c1", "m0", "c", "hbar"):
+        with pytest.raises(DomainError):
+            PotentialParams(**{"A": 2.0, field: True})
 
 
 # spectrum

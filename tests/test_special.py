@@ -41,6 +41,14 @@ def test_gamma_recurrence():
         assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-13)
 
 
+def test_gamma_large_arguments_up_to_overflow():
+    # the Lanczos power t^(x - 1/2) alone overflows from x = 142.5 on
+    for x in (142.5, 150.0, 171.5):
+        assert gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-13)
+    with pytest.raises(OverflowError):
+        gamma_fn(172.0)
+
+
 def test_gamma_rejects_nonpositive():
     for x in (0.0, -1.0, -0.5):
         with pytest.raises(DomainError):
