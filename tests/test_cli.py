@@ -357,6 +357,349 @@ def test_verify_out_flag_matches_stdout(tmp_path, capsys):
     assert target.read_text() == printed
 
 
+# byte-for-byte report output of verify, captured before its CSV writer
+# was shared with the table commands
+
+GOLDEN_VERIFY = {
+    ('verify', '--A', '2', '--format', 'csv'): """# fhpt-report/1
+# A=2.0
+# c1=1.0
+# m0=0.5
+# c=1.0
+# hbar=1.0
+# nmax=10
+# quad_order=200
+# tol_override=None
+name,identity,residual,tol,pass
+ode-residual,secant-well-equation,5.692805081530733e-13,1e-09,true
+spectrum-square-law,unit-well-squared-integers,0.0,1e-14,true
+gram-identity,basis-orthonormality,9.547918011776346e-15,1e-10,true
+gram-order-doubling,quadrature-convergence,7.771561172376096e-16,1e-12,true
+ladder-raising,raising-eigenvalue,4.745977641914665e-15,1e-09,true
+ladder-lowering,lowering-eigenvalue,5.173390780383455e-15,1e-09,true
+ground-annihilation,lowering-kills-ground,0.0,1e-10,true
+commutator,ladder-commutator,6.054602940283372e-14,1e-09,true
+casimir-constancy,casimir-invariant,7.105427357601002e-15,1e-12,true
+coherent-normalization,unit-weight-sum,6.428191312579656e-14,1e-12,true
+lowering-eigenstate,annihilation-eigenrelation,4.628570439118569e-16,1e-10,true
+identity-resolution,label-plane-completeness,6.994405055138486e-15,1e-07,true
+radial-closed-form,k-weighted-moments,3.579030076421233e-15,1e-09,true
+bessel-wronskian,cross-product-identity,6.8833827526759706e-15,1e-10,true
+half-order-bessel,elementary-closed-forms,7.916522747001144e-15,1e-12,true
+quadrature-exactness,polynomial-exactness,1.3877787807814457e-16,1e-12,true
+bessel-sum-identity,weight-series-resummation,2.2292326414890835e-15,1e-12,true
+# pass=true
+""",
+    ('verify', '--A', '2', '--format', 'json'): """{
+  "version": "fhpt-report/1",
+  "config": {
+    "A": 2.0,
+    "c1": 1.0,
+    "m0": 0.5,
+    "c": 1.0,
+    "hbar": 1.0,
+    "nmax": 10,
+    "quad_order": 200,
+    "tol_override": null
+  },
+  "checks": [
+    {
+      "name": "ode-residual",
+      "identity": "secant-well-equation",
+      "residual": 5.692805081530733e-13,
+      "tol": 1e-09,
+      "pass": true
+    },
+    {
+      "name": "spectrum-square-law",
+      "identity": "unit-well-squared-integers",
+      "residual": 0.0,
+      "tol": 1e-14,
+      "pass": true
+    },
+    {
+      "name": "gram-identity",
+      "identity": "basis-orthonormality",
+      "residual": 9.547918011776346e-15,
+      "tol": 1e-10,
+      "pass": true
+    },
+    {
+      "name": "gram-order-doubling",
+      "identity": "quadrature-convergence",
+      "residual": 7.771561172376096e-16,
+      "tol": 1e-12,
+      "pass": true
+    },
+    {
+      "name": "ladder-raising",
+      "identity": "raising-eigenvalue",
+      "residual": 4.745977641914665e-15,
+      "tol": 1e-09,
+      "pass": true
+    },
+    {
+      "name": "ladder-lowering",
+      "identity": "lowering-eigenvalue",
+      "residual": 5.173390780383455e-15,
+      "tol": 1e-09,
+      "pass": true
+    },
+    {
+      "name": "ground-annihilation",
+      "identity": "lowering-kills-ground",
+      "residual": 0.0,
+      "tol": 1e-10,
+      "pass": true
+    },
+    {
+      "name": "commutator",
+      "identity": "ladder-commutator",
+      "residual": 6.054602940283372e-14,
+      "tol": 1e-09,
+      "pass": true
+    },
+    {
+      "name": "casimir-constancy",
+      "identity": "casimir-invariant",
+      "residual": 7.105427357601002e-15,
+      "tol": 1e-12,
+      "pass": true
+    },
+    {
+      "name": "coherent-normalization",
+      "identity": "unit-weight-sum",
+      "residual": 6.428191312579656e-14,
+      "tol": 1e-12,
+      "pass": true
+    },
+    {
+      "name": "lowering-eigenstate",
+      "identity": "annihilation-eigenrelation",
+      "residual": 4.628570439118569e-16,
+      "tol": 1e-10,
+      "pass": true
+    },
+    {
+      "name": "identity-resolution",
+      "identity": "label-plane-completeness",
+      "residual": 6.994405055138486e-15,
+      "tol": 1e-07,
+      "pass": true
+    },
+    {
+      "name": "radial-closed-form",
+      "identity": "k-weighted-moments",
+      "residual": 3.579030076421233e-15,
+      "tol": 1e-09,
+      "pass": true
+    },
+    {
+      "name": "bessel-wronskian",
+      "identity": "cross-product-identity",
+      "residual": 6.8833827526759706e-15,
+      "tol": 1e-10,
+      "pass": true
+    },
+    {
+      "name": "half-order-bessel",
+      "identity": "elementary-closed-forms",
+      "residual": 7.916522747001144e-15,
+      "tol": 1e-12,
+      "pass": true
+    },
+    {
+      "name": "quadrature-exactness",
+      "identity": "polynomial-exactness",
+      "residual": 1.3877787807814457e-16,
+      "tol": 1e-12,
+      "pass": true
+    },
+    {
+      "name": "bessel-sum-identity",
+      "identity": "weight-series-resummation",
+      "residual": 2.2292326414890835e-15,
+      "tol": 1e-12,
+      "pass": true
+    }
+  ],
+  "pass": true
+}
+""",
+    ('verify', '--A', '3.7', '--nmax', '4', '--format', 'csv'): """# fhpt-report/1
+# A=3.7
+# c1=1.0
+# m0=0.5
+# c=1.0
+# hbar=1.0
+# nmax=4
+# quad_order=200
+# tol_override=None
+name,identity,residual,tol,pass
+ode-residual,secant-well-equation,3.4159244629897595e-14,1e-09,true
+spectrum-square-law,unit-well-squared-integers,0.0,1e-14,true
+gram-identity,basis-orthonormality,9.547918011776346e-15,1e-10,true
+gram-order-doubling,quadrature-convergence,4.440892098500626e-16,1e-12,true
+ladder-raising,raising-eigenvalue,4.03009594938921e-15,1e-09,true
+ladder-lowering,lowering-eigenvalue,3.410512777770303e-15,1e-09,true
+ground-annihilation,lowering-kills-ground,0.0,1e-10,true
+commutator,ladder-commutator,2.0876262767299667e-14,1e-09,true
+casimir-constancy,casimir-invariant,6.394884621840902e-14,1e-12,true
+coherent-normalization,unit-weight-sum,1.1102230246251565e-15,1e-12,true
+lowering-eigenstate,annihilation-eigenrelation,5.939536886830383e-16,1e-10,true
+identity-resolution,label-plane-completeness,4.440892098500626e-15,1e-07,true
+radial-closed-form,k-weighted-moments,3.964062380870307e-15,1e-09,true
+bessel-wronskian,cross-product-identity,6.8833827526759706e-15,1e-10,true
+half-order-bessel,elementary-closed-forms,7.916522747001144e-15,1e-12,true
+quadrature-exactness,polynomial-exactness,1.3877787807814457e-16,1e-12,true
+bessel-sum-identity,weight-series-resummation,3.1485980865830303e-15,1e-12,true
+# pass=true
+""",
+    ('verify', '--A', '3.7', '--nmax', '4', '--format', 'json'): """{
+  "version": "fhpt-report/1",
+  "config": {
+    "A": 3.7,
+    "c1": 1.0,
+    "m0": 0.5,
+    "c": 1.0,
+    "hbar": 1.0,
+    "nmax": 4,
+    "quad_order": 200,
+    "tol_override": null
+  },
+  "checks": [
+    {
+      "name": "ode-residual",
+      "identity": "secant-well-equation",
+      "residual": 3.4159244629897595e-14,
+      "tol": 1e-09,
+      "pass": true
+    },
+    {
+      "name": "spectrum-square-law",
+      "identity": "unit-well-squared-integers",
+      "residual": 0.0,
+      "tol": 1e-14,
+      "pass": true
+    },
+    {
+      "name": "gram-identity",
+      "identity": "basis-orthonormality",
+      "residual": 9.547918011776346e-15,
+      "tol": 1e-10,
+      "pass": true
+    },
+    {
+      "name": "gram-order-doubling",
+      "identity": "quadrature-convergence",
+      "residual": 4.440892098500626e-16,
+      "tol": 1e-12,
+      "pass": true
+    },
+    {
+      "name": "ladder-raising",
+      "identity": "raising-eigenvalue",
+      "residual": 4.03009594938921e-15,
+      "tol": 1e-09,
+      "pass": true
+    },
+    {
+      "name": "ladder-lowering",
+      "identity": "lowering-eigenvalue",
+      "residual": 3.410512777770303e-15,
+      "tol": 1e-09,
+      "pass": true
+    },
+    {
+      "name": "ground-annihilation",
+      "identity": "lowering-kills-ground",
+      "residual": 0.0,
+      "tol": 1e-10,
+      "pass": true
+    },
+    {
+      "name": "commutator",
+      "identity": "ladder-commutator",
+      "residual": 2.0876262767299667e-14,
+      "tol": 1e-09,
+      "pass": true
+    },
+    {
+      "name": "casimir-constancy",
+      "identity": "casimir-invariant",
+      "residual": 6.394884621840902e-14,
+      "tol": 1e-12,
+      "pass": true
+    },
+    {
+      "name": "coherent-normalization",
+      "identity": "unit-weight-sum",
+      "residual": 1.1102230246251565e-15,
+      "tol": 1e-12,
+      "pass": true
+    },
+    {
+      "name": "lowering-eigenstate",
+      "identity": "annihilation-eigenrelation",
+      "residual": 5.939536886830383e-16,
+      "tol": 1e-10,
+      "pass": true
+    },
+    {
+      "name": "identity-resolution",
+      "identity": "label-plane-completeness",
+      "residual": 4.440892098500626e-15,
+      "tol": 1e-07,
+      "pass": true
+    },
+    {
+      "name": "radial-closed-form",
+      "identity": "k-weighted-moments",
+      "residual": 3.964062380870307e-15,
+      "tol": 1e-09,
+      "pass": true
+    },
+    {
+      "name": "bessel-wronskian",
+      "identity": "cross-product-identity",
+      "residual": 6.8833827526759706e-15,
+      "tol": 1e-10,
+      "pass": true
+    },
+    {
+      "name": "half-order-bessel",
+      "identity": "elementary-closed-forms",
+      "residual": 7.916522747001144e-15,
+      "tol": 1e-12,
+      "pass": true
+    },
+    {
+      "name": "quadrature-exactness",
+      "identity": "polynomial-exactness",
+      "residual": 1.3877787807814457e-16,
+      "tol": 1e-12,
+      "pass": true
+    },
+    {
+      "name": "bessel-sum-identity",
+      "identity": "weight-series-resummation",
+      "residual": 3.1485980865830303e-15,
+      "tol": 1e-12,
+      "pass": true
+    }
+  ],
+  "pass": true
+}
+""",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_VERIFY), ids=" ".join)
+def test_verify_golden_output(args, capsys):
+    assert main(list(args)) == 0
+    assert capsys.readouterr().out == GOLDEN_VERIFY[args]
+
+
 # schemas
 
 TABLE_SCHEMA = {
