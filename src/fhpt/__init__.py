@@ -20,7 +20,6 @@ from .checks import CheckConfig, CheckResult, VerificationReport, run_checks
 from .coherent import (
     CoherentState,
     build_coherent_state,
-    expectation_diagonal,
     general_expectation,
     lowering_eigenstate_residual,
     radial_weight_moment,
@@ -42,18 +41,14 @@ from .quadrature import (
     QuadratureRule,
     TruncationWarning,
     gauss_legendre,
-    integrate_finite,
     integrate_semi_infinite_k_weight,
 )
 from .special import (
-    GegenbauerPoly,
-    assoc_legendre_half_shift,
     bessel_i,
     bessel_k,
     gamma_fn,
     gegenbauer_poly,
     gegenbauer_value,
-    hyp2f1_terminating,
     log_gamma,
 )
 
@@ -66,7 +61,6 @@ __all__ = [
     "CoherentState",
     "ConvergenceError",
     "DomainError",
-    "GegenbauerPoly",
     "IntegrationError",
     "LadderCoefficients",
     "PotentialParams",
@@ -76,7 +70,6 @@ __all__ = [
     "VerificationReport",
     "apply_lowering",
     "apply_raising",
-    "assoc_legendre_half_shift",
     "bessel_i",
     "bessel_k",
     "build_basis_state",
@@ -85,14 +78,11 @@ __all__ = [
     "commutator_residual",
     "derive_a_prime",
     "eval_state",
-    "expectation_diagonal",
     "gamma_fn",
     "gauss_legendre",
     "gegenbauer_poly",
     "gegenbauer_value",
     "general_expectation",
-    "hyp2f1_terminating",
-    "integrate_finite",
     "integrate_semi_infinite_k_weight",
     "ladder_coefficients",
     "log_gamma",

@@ -26,12 +26,17 @@ from .coherent import (
 )
 from .errors import DomainError
 from .model import _MAX_LEVEL, PotentialParams, build_basis_state, eval_state, momentum_level, overlap, residual_ode
-from .quadrature import default_r_max, gauss_legendre, integrate_semi_infinite_k_weight
+from .quadrature import _MAX_ORDER, default_r_max, gauss_legendre, integrate_semi_infinite_k_weight
 from .special import bessel_i, bessel_k, gamma_fn
 
 __all__ = ["CheckConfig", "CheckResult", "VerificationReport", "run_checks"]
 
 REPORT_VERSION = "fhpt-report/1"
+
+
+def _check_int(name: str, v, lo: int, hi: int) -> None:
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= v <= hi:
+        raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -47,10 +52,13 @@ class CheckConfig:
 
     def __post_init__(self) -> None:
         # every level-ranged check covers 0..nmax, and ladder-raising at nmax
-        # needs level nmax + 1
-        n, top = self.nmax, _MAX_LEVEL - 1
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= top:
-            raise DomainError(f"nmax must be an integer in [0, {top}], got {n!r}")
+        # needs level nmax + 1; gram-order-doubling needs a rule of twice
+        # quad_order
+        _check_int("nmax", self.nmax, 0, _MAX_LEVEL - 1)
+        _check_int("quad_order", self.quad_order, 1, _MAX_ORDER // 2)
+        t = self.tol_override
+        if t is not None and (isinstance(t, bool) or not (math.isfinite(t) and t > 0.0)):
+            raise DomainError(f"tol_override must be a positive finite number, got {t!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -61,12 +61,30 @@ def _params(args: argparse.Namespace) -> PotentialParams:
     return PotentialParams(**_config(args))
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise DomainError(f"{flag} must be at least {low}, got {value}")
+
+
 def _fmt_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+def _csv(header: str, config: dict, columns: list[str], rows: list, summary: dict) -> str:
+    """A header line, '# key=value' config lines, the table, then '# key=value' summary lines."""
+    lines = [header]
+    for k, v in config.items():
+        lines.append(f"# {k}={_fmt_cell(v)}")
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(_fmt_cell(v) for v in row))
+    for k, v in summary.items():
+        lines.append(f"# {k}={_fmt_cell(v)}")
+    return "\n".join(lines) + "\n"
 
 
 def _emit(args: argparse.Namespace, command: str, config: dict, columns: list[str], rows: list, summary: dict) -> None:
@@ -81,15 +99,7 @@ def _emit(args: argparse.Namespace, command: str, config: dict, columns: list[st
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = [f"# {TABLE_VERSION} command={command}"]
-        for k, v in config.items():
-            lines.append(f"# {k}={_fmt_cell(v)}")
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt_cell(v) for v in row))
-        for k, v in summary.items():
-            lines.append(f"# {k}={_fmt_cell(v)}")
-        text = "\n".join(lines) + "\n"
+        text = _csv(f"# {TABLE_VERSION} command={command}", config, columns, rows, summary)
     _write(args, text)
 
 
@@ -101,6 +111,7 @@ def _write(args: argparse.Namespace, text: str) -> None:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    _at_least("--nmax", args.nmax, 0)
     params = _params(args)
     rows = [[n, momentum_level(n, params)] for n in range(args.nmax + 1)]
     config = _config(args, nmax=args.nmax)
@@ -110,6 +121,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_wavefunction(args: argparse.Namespace) -> int:
+    _at_least("--samples", args.samples, 1)
     params = _params(args)
     state = build_basis_state(args.n, params, args.interval)
     k = np.arange(args.samples)
@@ -146,6 +158,7 @@ def _cmd_coherent(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolution(args: argparse.Namespace) -> int:
+    _at_least("--nmax", args.nmax, 0)
     params = _params(args)
     rule = gauss_legendre(args.quad_order)
     r_max = default_r_max(2.0 * args.nmax + 2.0 * params.L + 1.0)
@@ -208,16 +221,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = json.dumps(report.to_dict(), indent=2) + "\n"
     else:
-        lines = [f"# {report.version}"]
-        for k, v in report.config.items():
-            lines.append(f"# {k}={_fmt_cell(v)}")
-        lines.append("name,identity,residual,tol,pass")
-        for c in report.checks:
-            lines.append(
-                ",".join([c.name, c.identity, repr(c.residual), repr(c.tol), _fmt_cell(c.passed)])
-            )
-        lines.append(f"# pass={_fmt_cell(report.passed)}")
-        text = "\n".join(lines) + "\n"
+        columns = ["name", "identity", "residual", "tol", "pass"]
+        rows = [[c.name, c.identity, c.residual, c.tol, c.passed] for c in report.checks]
+        text = _csv(f"# {report.version}", report.config, columns, rows, {"pass": report.passed})
     _write(args, text)
     return 0 if report.passed else 1
 

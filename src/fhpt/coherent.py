@@ -32,7 +32,6 @@ from .special import _bessel_i_series, bessel_i, gamma_fn, log_gamma
 __all__ = [
     "CoherentState",
     "build_coherent_state",
-    "expectation_diagonal",
     "general_expectation",
     "lowering_eigenstate_residual",
     "radial_weight_moment",
@@ -83,7 +82,7 @@ def build_coherent_state(z: complex, params: PotentialParams, tail_tol: float = 
         # I_(2L)(2r) lies below the normal double range (large L, small r):
         # its log is that of the series' leading term plus that of the sum
         # scaled by it, which stays representable
-        log_t0, scaled = _bessel_i_series(2.0 * L, 2.0 * r, 1e-14)
+        log_t0, scaled = _bessel_i_series(2.0 * L, 2.0 * r)
         log_norm = log_t0 + math.log(scaled)
     log_c0 = L * math.log(r) - 0.5 * (log_norm + log_gamma(2.0 * L + 1.0))
 
@@ -120,13 +119,6 @@ def lowering_eigenstate_residual(cs: CoherentState) -> float:
     eig = np.sqrt((n + 1.0) * (n + 1.0 + 2.0 * cs.L))
     resid = eig * c[1:] - cs.z * c[:-1]
     return float(np.sqrt(np.sum(np.abs(resid) ** 2)))
-
-
-def expectation_diagonal(cs: CoherentState, f: Callable[[int], float]) -> float:
-    """Expectation of a level-diagonal observable f(n)."""
-    w = np.abs(cs.coeffs) ** 2
-    vals = np.array([f(n) for n in range(len(w))], dtype=float)
-    return float(np.dot(w, vals))
 
 
 def general_expectation(cs: CoherentState, element: Callable[[int, int], complex]) -> complex:

@@ -1,16 +1,15 @@
-"""Gauss-Legendre rules and the two integration drivers built on them.
+"""Gauss-Legendre rules and the K-weighted integrator built on them.
 
 The rule constructor runs Newton's iteration on the Legendre three-term
 recurrence (no eigenvalue machinery, no table lookup), which is cheap and
-fully accurate up to the supported order 4096.  Rules are cached per order
-behind a lock; node/weight arrays are returned read-only.
+fully accurate up to the supported order 4096.  Rules are cached per order,
+so each order has one rule object; node/weight arrays are returned read-only.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -25,7 +24,6 @@ __all__ = [
     "TruncationWarning",
     "default_r_max",
     "gauss_legendre",
-    "integrate_finite",
     "integrate_semi_infinite_k_weight",
 ]
 
@@ -43,10 +41,6 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-_rule_cache: dict[int, QuadratureRule] = {}
-_rule_lock = threading.Lock()
-
-
 def _legendre_and_deriv(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p0 = np.ones_like(x)
     p1 = np.zeros_like(x)
@@ -56,6 +50,7 @@ def _legendre_and_deriv(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p0, dp
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_legendre(order: int) -> QuadratureRule:
     """Nodes and weights of the order-point rule on [-1, 1].
 
@@ -64,10 +59,6 @@ def gauss_legendre(order: int) -> QuadratureRule:
     """
     if order < 1 or order > _MAX_ORDER:
         raise DomainError(f"gauss_legendre supports 1 <= order <= {_MAX_ORDER}, got {order!r}")
-    with _rule_lock:
-        hit = _rule_cache.get(order)
-    if hit is not None:
-        return hit
     m = order
     k = np.arange(m)
     x = np.cos(np.pi * (k + 0.75) / (m + 0.5))
@@ -87,26 +78,7 @@ def gauss_legendre(order: int) -> QuadratureRule:
     w = np.ascontiguousarray(w[idx])
     x.setflags(write=False)
     w.setflags(write=False)
-    rule = QuadratureRule(order, x, w)
-    with _rule_lock:
-        _rule_cache[order] = rule
-    return rule
-
-
-def integrate_finite(f: Callable, a: float, b: float, rule: QuadratureRule | None = None) -> float:
-    """Integral of f over [a, b]; f must accept an ndarray of sample points."""
-    if rule is None:
-        rule = gauss_legendre(200)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"finite integration needs finite endpoints, got [{a!r}, {b!r}]")
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = mid + half * rule.nodes
-    vals = np.asarray(f(nodes), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = nodes[~np.isfinite(vals)][0]
-        raise IntegrationError(f"integrand returned a non-finite value at node {bad!r}")
-    return float(half * np.dot(rule.weights, vals))
+    return QuadratureRule(order, x, w)
 
 
 def default_r_max(poly_degree: float) -> float:
@@ -136,11 +108,10 @@ def integrate_semi_infinite_k_weight(
     r_max: float | None = None,
     rule: QuadratureRule | None = None,
     a: float = 2.0,
-    n_panels: int = 32,
 ) -> float:
     """Integral of g(r) * K_nu(a r) over (0, infinity), truncated at r_max.
 
-    Geometric panels from 1e-6 up to r_max absorb the integrable endpoint
+    32 geometric panels from 1e-6 up to r_max absorb the integrable endpoint
     behaviour; when the probed power law of the integrand indicates that the
     region below the mesh still matters, extra ratio-100 panels are appended
     downward until its estimated contribution is negligible.  Tails that stay
@@ -157,11 +128,11 @@ def integrate_semi_infinite_k_weight(
     if not r_max > 1e-6:
         raise DomainError(f"r_max must exceed the inner mesh edge 1e-6, got {r_max!r}")
 
-    nodes, wk = _k_weighted_grid(nu, a, 1e-6, r_max, n_panels, rule)
+    nodes, wk = _k_weighted_grid(nu, a, 1e-6, r_max, 32, rule)
     gv = np.asarray(g(nodes), dtype=float)
     if not np.all(np.isfinite(gv)):
         bad = nodes[~np.isfinite(gv)][0]
-        raise IntegrationError(f"integrand returned a non-finite value at node {bad!r}")
+        raise IntegrationError(f"integrand returned a non-finite value at node {float(bad)!r}")
     total = float(np.dot(wk, gv))
 
     # upper tail: one extra e-folding of the exponential weight as the scale

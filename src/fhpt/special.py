@@ -1,11 +1,10 @@
 """Self-contained special-function kernel.
 
-Everything the model layer needs lives here: Gamma and log-Gamma, terminating
-Gauss hypergeometric sums, Gegenbauer polynomials with exact-recurrence
-monomial coefficients, an associated Legendre continuation with non-integer
-degree and order tied by degree = n + order, and the modified Bessel pair
-I_nu, K_nu of real order.  The public functions take scalars; a private
-array kernel evaluates K_nu of one order over a whole quadrature grid.
+Everything the model layer needs lives here: Gamma and log-Gamma, Gegenbauer
+polynomials (values by the three-term recurrence, and exact-recurrence
+monomial coefficients), and the modified Bessel pair I_nu, K_nu of real
+order.  The public functions take scalars; a private array kernel evaluates
+K_nu of one order over a whole quadrature grid.
 
 K_nu has two regimes (Temme, J. Comput. Phys. 19 (1975) 324; Numerical
 Recipes section 6.7): with nu = nl + mu, |mu| <= 1/2, Temme's series gives
@@ -14,12 +13,12 @@ upward recurrence carries the pair to nu.  Both are uniform in the order,
 so integer and near-integer orders need no special case.
 
 Only numpy and the standard library are imported.  Identities follow the
-classical handbooks (Abramowitz & Stegun ch. 6/8/9/15, DLMF 14/15/10); the
+classical handbooks (Abramowitz & Stegun ch. 6/9/22, DLMF 10/18); the
 specific algorithm choices are noted on each function.
 
-Series conventions: every infinite series here takes a tail tolerance
-(default 1e-14).  Summation stops once the ratio of consecutive terms drops
-below 1/2 and the geometric bound term*ratio/(1-ratio) falls under
+Series conventions: every infinite series here sums to a tail tolerance
+tol = 1e-14.  Summation stops once the ratio of consecutive terms drops below
+1/2 and the geometric bound term*ratio/(1-ratio) falls under
 tol*max(1, |partial sum|).  Temme's series, whose terms fall factorially,
 stops at its first term below tol relative to the partial sum.
 """
@@ -27,22 +26,17 @@ stops at its first term below tol relative to the partial sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "GegenbauerPoly",
-    "assoc_legendre_half_shift",
     "bessel_i",
     "bessel_k",
     "gamma_fn",
     "gegenbauer_poly",
     "gegenbauer_value",
-    "hyp2f1_terminating",
     "log_gamma",
 ]
 
@@ -108,50 +102,12 @@ def log_gamma(x: float) -> float:
     return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(_lanczos_series(x))
 
 
-def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
-    """2F1(-n, b; c; x) summed exactly as a degree-n polynomial.
-
-    The first parameter is the non-positive integer -n that terminates the
-    series; c may not be one of 0, -1, ..., -(n-1), where a denominator
-    factor vanishes before the series terminates.  Terms alternate in sign,
-    so accuracy degrades when intermediate terms dwarf the result; keeping
-    c >= 1 (the situation here, where c is an orbital index plus one) holds
-    the inflation to a few digits at worst for moderate n.
-    """
-    if n < 0 or n != int(n):
-        raise DomainError(f"terminating 2F1 needs integer n >= 0, got {n!r}")
-    n = int(n)
-    if c <= 0.0 and c == math.floor(c) and c > -n:
-        raise DomainError(f"2F1 parameter c={c!r} hits a pole before the series terminates")
-    term = 1.0
-    total = 1.0
-    for k in range(n):
-        term *= (k - n) * (b + k) / ((c + k) * (k + 1.0)) * x
-        total += term
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Gegenbauer polynomials
 
 
-@dataclass(frozen=True, eq=False)
-class GegenbauerPoly:
-    """C_n^lam as an explicit monomial coefficient vector (ascending powers)."""
-
-    n: int
-    lam: float
-    coeffs: np.ndarray
-
-    def __call__(self, y):
-        return npoly.polyval(y, self.coeffs)
-
-    def derivative_coeffs(self) -> np.ndarray:
-        return npoly.polyder(self.coeffs)
-
-
-def gegenbauer_poly(n: int, lam: float) -> GegenbauerPoly:
-    """Coefficients of C_n^lam from the three-term recurrence.
+def gegenbauer_poly(n: int, lam: float) -> np.ndarray:
+    """Monomial coefficients of C_n^lam (ascending powers) from the three-term recurrence.
 
     n C_n = 2(n+lam-1) y C_{n-1} - (n+2lam-2) C_{n-2}, C_0 = 1, C_1 = 2 lam y.
     Off-parity slots are exact zeros: the recurrence never mixes parities, so
@@ -162,7 +118,7 @@ def gegenbauer_poly(n: int, lam: float) -> GegenbauerPoly:
     if not lam > -0.5:
         raise DomainError(f"gegenbauer_poly requires lam > -1/2, got {lam!r}")
     if n == 0:
-        return GegenbauerPoly(0, lam, np.array([1.0]))
+        return np.array([1.0])
     prev = np.array([1.0])
     cur = np.array([0.0, 2.0 * lam])
     for k in range(2, n + 1):
@@ -171,7 +127,7 @@ def gegenbauer_poly(n: int, lam: float) -> GegenbauerPoly:
         nxt[: k - 1] -= (k + 2.0 * lam - 2.0) * prev
         nxt /= k
         prev, cur = cur, nxt
-    return GegenbauerPoly(n, lam, cur)
+    return cur
 
 
 def gegenbauer_value(n: int, lam: float, y):
@@ -193,46 +149,13 @@ def gegenbauer_value(n: int, lam: float, y):
 
 
 # ---------------------------------------------------------------------------
-# Associated Legendre continuation with degree = n + L, order = L
-
-
-def assoc_legendre_half_shift(n: int, L: float, y) -> float:
-    """P_{n+L}^{L}(y) through the terminating hypergeometric continuation.
-
-    Defined as
-
-        s_L * Gamma(n+2L+1) / (2^L Gamma(n+1) Gamma(L+1))
-            * (1-y^2)^{L/2} * 2F1(-n, n+2L+1; L+1; (1-y)/2)
-
-    which for integer L reproduces the classical Ferrers function with the
-    Condon-Shortley phase s_L = (-1)^L, and for half-integer order reduces to
-    elementary trigonometric closed forms (DLMF 14.5).  For non-integer L the
-    phase factor is taken as +1; any fixed y-independent choice drops out of
-    every normalized or ratio identity built on top.
-    """
-    if n < 0 or n != int(n):
-        raise DomainError(f"assoc_legendre_half_shift needs integer n >= 0, got {n!r}")
-    if L < 0.0:
-        raise DomainError(f"assoc_legendre_half_shift requires L >= 0, got {L!r}")
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(np.abs(y_arr) > 1.0):
-        raise DomainError("assoc_legendre_half_shift requires |y| <= 1")
-    sign = -1.0 if (float(L).is_integer() and int(L) % 2) else 1.0
-    pref = math.exp(log_gamma(n + 2.0 * L + 1.0) - log_gamma(n + 1.0) - log_gamma(L + 1.0) - L * math.log(2.0))
-    hyp = np.vectorize(lambda t: hyp2f1_terminating(int(n), n + 2.0 * L + 1.0, L + 1.0, t))(
-        (1.0 - y_arr) / 2.0
-    )
-    out = sign * pref * (1.0 - y_arr * y_arr) ** (L / 2.0) * hyp
-    return float(out) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
 # Modified Bessel functions of real order
 
 _OVERFLOW_LOG = 708.0  # ln of the largest double, with a little headroom
+_TOL = 1e-14  # relative tail tolerance of every series
 
 
-def _bessel_i_series(nu: float, x: float, tol: float) -> tuple[float, float]:
+def _bessel_i_series(nu: float, x: float) -> tuple[float, float]:
     # Ascending series of I_nu(x), x > 0, as (ln t0, S) with I_nu(x) = e^{ln t0} S:
     # t0 = (x/2)^nu / Gamma(nu+1) is the leading term and S >= 1 the sum of the
     # terms scaled by it.  All terms are positive, so nothing cancels, and S
@@ -245,13 +168,13 @@ def _bessel_i_series(nu: float, x: float, tol: float) -> tuple[float, float]:
         term *= q / (k * (k + nu))
         total += term
         ratio = q / ((k + 1.0) * (k + 1.0 + nu))
-        if ratio < 0.5 and term * ratio / (1.0 - ratio) < tol * total:
+        if ratio < 0.5 and term * ratio / (1.0 - ratio) < _TOL * total:
             return nu * math.log(0.5 * x) - log_gamma(nu + 1.0), total
         if k > 10000:
             raise ConvergenceError("bessel_i series did not converge")
 
 
-def bessel_i(nu: float, x: float, tol: float = 1e-14) -> float:
+def bessel_i(nu: float, x: float) -> float:
     """I_nu(x) for nu >= 0, x >= 0 by the ascending power series.
 
     The series is summed relative to its leading term, which is formed in log
@@ -268,7 +191,7 @@ def bessel_i(nu: float, x: float, tol: float = 1e-14) -> float:
         return 1.0 if nu == 0.0 else 0.0
     if x - 0.5 * math.log(2.0 * math.pi * x) > _OVERFLOW_LOG:
         raise OverflowError(f"I_{nu}({x}) exceeds the double range")
-    log_t0, total = _bessel_i_series(nu, x, tol)
+    log_t0, total = _bessel_i_series(nu, x)
     return math.exp(log_t0) * total
 
 
@@ -289,7 +212,7 @@ _RGAMMA_ODD = (
 )
 
 
-def _k_temme(mu: float, x, tol: float):
+def _k_temme(mu: float, x):
     # Temme's series for K_mu, K_{mu+1}, x <= 2, |mu| <= 1/2 (Numerical Recipes
     # section 6.7), uniform in mu, integer mu included.  x is a float, or an
     # ndarray summed until every entry has converged.  Gamma_1 =
@@ -324,9 +247,9 @@ def _k_temme(mu: float, x, tol: float):
         k_mu = k_mu + term
         k_mu1 = k_mu1 + c * (p - i * ff)
         if xp is math:
-            if abs(term) < tol * abs(k_mu):
+            if abs(term) < _TOL * abs(k_mu):
                 break
-        elif np.all(np.abs(term) < tol * np.abs(k_mu)):
+        elif np.all(np.abs(term) < _TOL * np.abs(k_mu)):
             break
     else:
         raise ConvergenceError("K series did not converge")
@@ -423,7 +346,7 @@ def _k_order(nu: float, x_min: float) -> tuple[int, float]:
     return nl, nu - nl
 
 
-def bessel_k(nu: float, x: float, tol: float = 1e-14) -> float:
+def bessel_k(nu: float, x: float) -> float:
     """K_nu(x) for real order, x > 0.
 
     K_mu and K_{mu+1}, |mu| <= 1/2, come from Temme's series for x <= 2 or
@@ -436,7 +359,7 @@ def bessel_k(nu: float, x: float, tol: float = 1e-14) -> float:
         raise DomainError(f"bessel_k requires x > 0, got {x!r}")
     nu = abs(nu)  # K is even in its order
     nl, mu = _k_order(nu, x)
-    k_mu, k_mu1 = _bessel_k_cf2(mu, x) if x > 2.0 else _k_temme(mu, x, tol)
+    k_mu, k_mu1 = _bessel_k_cf2(mu, x) if x > 2.0 else _k_temme(mu, x)
     return _k_upward(nl, mu, x, k_mu, k_mu1)
 
 
@@ -450,7 +373,7 @@ def _bessel_k_array(nu: float, x: np.ndarray) -> np.ndarray:
     k_mu, k_mu1 = np.empty_like(x), np.empty_like(x)
     small = x <= 2.0
     if small.any():
-        k_mu[small], k_mu1[small] = _k_temme(mu, x[small], 1e-14)
+        k_mu[small], k_mu1[small] = _k_temme(mu, x[small])
     if not small.all():
         k_mu[~small], k_mu1[~small] = _bessel_k_cf2_array(mu, x[~small])
     return _k_upward(nl, mu, x, k_mu, k_mu1)

@@ -1,6 +1,7 @@
 """The named check suite as a unit: coverage, report shape, overrides."""
 
 import json
+import math
 
 import pytest
 
@@ -79,3 +80,17 @@ def test_level_checks_cover_every_level_up_to_nmax():
 def test_nmax_outside_the_level_range_is_rejected(nmax):
     with pytest.raises(DomainError):
         CheckConfig(nmax=nmax)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, True])
+def test_tol_override_must_be_positive_and_finite(tol):
+    with pytest.raises(DomainError, match="tol_override"):
+        CheckConfig(tol_override=tol)
+
+
+@pytest.mark.parametrize("order", [0, 2049, 3000, True, 200.0])
+def test_quad_order_outside_the_rule_range_is_rejected(order):
+    # gram-order-doubling builds a rule of twice quad_order, at most 4096
+    with pytest.raises(DomainError, match=r"quad_order must be an integer in \[1, 2048\]"):
+        CheckConfig(quad_order=order)
+    assert CheckConfig(quad_order=2048).quad_order == 2048

@@ -784,6 +784,28 @@ def test_verify_exits_two_on_nmax_it_cannot_cover(nmax):
     assert "error: nmax must be an integer in [0, 99]" in res.stderr
 
 
+OUT_OF_RANGE = {
+    "spectrum --nmax -1": "--nmax must be at least 0, got -1",
+    "resolution --nmax -1": "--nmax must be at least 0, got -1",
+    "wavefunction --samples 0": "--samples must be at least 1, got 0",
+    "wavefunction --samples -3": "--samples must be at least 1, got -3",
+    "verify --tol nan": "tol_override must be a positive finite number, got nan",
+    "verify --tol 0": "tol_override must be a positive finite number, got 0.0",
+    "verify --tol -1": "tol_override must be a positive finite number, got -1.0",
+    "verify --quad-order 3000": "quad_order must be an integer in [1, 2048], got 3000",
+}
+
+
+@pytest.mark.parametrize("command", list(OUT_OF_RANGE))
+def test_out_of_range_inputs_exit_two(command, capsys):
+    # rejected up front instead of an empty table or a misleading failure
+    message = OUT_OF_RANGE[command]
+    assert main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_covers_thirty_levels():
     res = run_cli("verify", "--A", "2", "--nmax", "30")
     assert res.returncode == 0, res.stderr

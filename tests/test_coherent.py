@@ -10,7 +10,6 @@ import pytest
 
 from fhpt.coherent import (
     build_coherent_state,
-    expectation_diagonal,
     general_expectation,
     lowering_eigenstate_residual,
     radial_weight_moment,
@@ -95,14 +94,14 @@ def test_mean_level_against_independent_series():
             norm * mpmath.factorial(n) * mpmath.gamma(n + 2 * L + 1)
         )
         direct += n * w
-    got = expectation_diagonal(cs, lambda n: float(n))
+    got = float(np.dot(np.abs(cs.coeffs) ** 2, np.arange(len(cs.coeffs))))
     assert got == pytest.approx(float(direct), rel=1e-11)
 
 
 def test_weight_operator_mean_at_origin():
     p = PotentialParams(A=2.0)
     cs = build_coherent_state(0.0, p)
-    got = expectation_diagonal(cs, lambda n: n + p.L + 0.5)
+    got = float(np.dot(np.abs(cs.coeffs) ** 2, np.arange(len(cs.coeffs)) + p.L + 0.5))
     assert got == p.L + 0.5
 
 

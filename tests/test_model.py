@@ -2,8 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from fhpt.errors import DomainError, SingularityError
 from fhpt.model import (
@@ -17,7 +19,6 @@ from fhpt.model import (
     residual_ode,
 )
 from fhpt.quadrature import gauss_legendre
-from fhpt.special import assoc_legendre_half_shift, hyp2f1_terminating
 
 A_GRID = (1.0, 1.5, 2.0, 3.7)
 
@@ -152,12 +153,14 @@ def test_full_vs_half_interval_constant():
 
 def _hyp_route(st, lam, n, tau):
     lead = math.exp(math.lgamma(2.0 * lam + n) - math.lgamma(2.0 * lam) - math.lgamma(n + 1.0))
+    # zeroprec lets mpmath return exact zeros (odd states at tau = 0) instead
+    # of raising precision without end to resolve them
     return np.array(
         [
             st.scale
             * math.cos(t) ** lam
             * lead
-            * hyp2f1_terminating(n, n + 2.0 * lam, lam + 0.5, 0.5 * (1.0 - math.sin(t)))
+            * float(mpmath.hyp2f1(-n, n + 2.0 * lam, lam + 0.5, 0.5 * (1.0 - math.sin(t)), zeroprec=200))
             for t in tau
         ]
     )
@@ -177,9 +180,8 @@ def test_state_against_hypergeometric_route():
 
 
 def test_state_against_hypergeometric_route_high_level():
-    # at degree 15 the alternating 2F1 sum keeps only ~8 digits near x = 1/2
-    # (term inflation ~ 1e8), so the bound is set by the oracle's own
-    # conditioning; a wrong degree factor anywhere would still show as O(1)
+    # degree 15, where the alternating 2F1 sum inflates its terms ~1e8 near
+    # x = 1/2; a wrong degree factor anywhere would show as O(1)
     tau = np.linspace(0.0, 1.45, 16)
     for A in (1.0, 3.7):
         p = PotentialParams(A=A)
@@ -190,6 +192,16 @@ def test_state_against_hypergeometric_route_high_level():
         assert np.max(np.abs(ours - alt)) < 1e-6 * np.max(np.abs(ours))
 
 
+def _legendre_half_shift(n, L, y):
+    # P_{n+L}^{L}(y): the Ferrers function with the Condon-Shortley phase at
+    # integer L; at other L, Gamma(n+2L+1)/n! P_{n+L}^{-L}(y), which is its
+    # continuation with phase +1
+    if float(L).is_integer():
+        return sps.lpmv(int(L), n + L, y)
+    pref = math.exp(math.lgamma(n + 2.0 * L + 1.0) - math.lgamma(n + 1.0))
+    return np.array([pref * float(mpmath.legenp(n + L, -L, t, type=2, zeroprec=200)) for t in y])
+
+
 def test_state_against_legendre_route():
     # half-interval convention matches the associated-Legendre form
     # sqrt(cos) times the shifted-degree function of sin(tau)
@@ -198,14 +210,7 @@ def test_state_against_legendre_route():
         p = PotentialParams(A=A)
         for n in (0, 2, 5, 8):
             st = build_basis_state(n, p, "half")
-            alt = np.array(
-                [
-                    st.norm
-                    * math.sqrt(math.cos(t))
-                    * assoc_legendre_half_shift(n, p.L, math.sin(t))
-                    for t in tau
-                ]
-            )
+            alt = st.norm * np.sqrt(np.cos(tau)) * _legendre_half_shift(n, p.L, np.sin(tau))
             ours = eval_state(st, tau)
             assert np.max(np.abs(ours - alt)) < 5e-11 * np.max(np.abs(ours))
 

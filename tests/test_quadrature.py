@@ -1,4 +1,4 @@
-"""Rule construction, finite integration, and the K-weighted driver."""
+"""Rule construction and the K-weighted integrator."""
 
 import math
 
@@ -12,7 +12,6 @@ from fhpt.quadrature import (
     _k_weighted_grid,
     default_r_max,
     gauss_legendre,
-    integrate_finite,
     integrate_semi_infinite_k_weight,
 )
 
@@ -67,19 +66,6 @@ def test_rule_order_domain():
         gauss_legendre(4097)
 
 
-def test_integrate_finite_classics():
-    assert integrate_finite(np.sin, 0.0, np.pi) == pytest.approx(2.0, abs=1e-14)
-    assert integrate_finite(np.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
-    assert integrate_finite(lambda x: x * 0.0 + 1.0, -3.0, 7.0) == pytest.approx(10.0, rel=1e-15)
-
-
-def test_integrate_finite_rejects_bad_input():
-    with pytest.raises(DomainError):
-        integrate_finite(np.sin, 0.0, math.inf)
-    with pytest.raises(IntegrationError), np.errstate(divide="ignore"):
-        integrate_finite(lambda x: 1.0 / (x * 0.0), 0.0, 1.0)
-
-
 def test_default_r_max_floor_and_growth():
     assert default_r_max(0.0) == 30.0
     assert default_r_max(10.0) == 105.0
@@ -127,6 +113,17 @@ def test_k_weighted_rejects_bad_scale():
         integrate_semi_infinite_k_weight(lambda r: r, 1.0, r_max=10.0, a=-1.0)
     with pytest.raises(DomainError):
         integrate_semi_infinite_k_weight(lambda r: r, 1.0, r_max=1e-7)
+
+
+def test_k_weighted_rejects_non_finite_integrand():
+    # the message names the first bad node as a plain float
+    rule = gauss_legendre(20)
+    nodes, _ = _k_weighted_grid(0.5, 2.0, 1e-6, 30.0, 32, rule)
+    bad = float(nodes[nodes > 5.0][0])
+    with pytest.raises(IntegrationError) as err:
+        integrate_semi_infinite_k_weight(lambda r: np.where(r > 5.0, np.inf, r), 0.5, r_max=30.0, rule=rule)
+    assert str(err.value) == f"integrand returned a non-finite value at node {bad!r}"
+    assert "np.float64" not in str(err.value)
 
 
 def test_k_grid_cache_is_bounded():

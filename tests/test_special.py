@@ -8,17 +8,16 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
+from numpy.polynomial import polynomial as npoly
 
 from fhpt.errors import DomainError
 from fhpt.special import (
     _bessel_k_array,
-    assoc_legendre_half_shift,
     bessel_i,
     bessel_k,
     gamma_fn,
     gegenbauer_poly,
     gegenbauer_value,
-    hyp2f1_terminating,
     log_gamma,
 )
 
@@ -60,67 +59,12 @@ def test_log_gamma_matches_stdlib():
         assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-14, abs=1e-13)
 
 
-# terminating 2F1
-
-def _hyp2f1_fraction(n, b, c, x):
-    # exact finite sum; b, c, x as Fractions
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(n + 1):
-        total += term
-        term *= Fraction(-(n - k)) * (b + k) * x / ((c + k) * (k + 1))
-    return total
-
-
-def test_hyp2f1_exact_value():
-    exact = _hyp2f1_fraction(2, Fraction(4), Fraction(2), Fraction(1, 4))
-    assert exact == Fraction(5, 24)
-    assert hyp2f1_terminating(2, 4.0, 2.0, 0.25) == pytest.approx(float(exact), rel=1e-15)
-
-
-def _hyp2f1_term_mass(n, b, c, x):
-    # sum of |term_k|: the condition number scale of the alternating sum
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(n + 1):
-        total += abs(term)
-        term *= Fraction(-(n - k)) * (b + k) * x / ((c + k) * (k + 1))
-    return float(total)
-
-
-def test_hyp2f1_fraction_grid():
-    # c >= 1 throughout, matching the use sites (c is an orbital index plus 1)
-    for n in (0, 1, 3, 7, 12):
-        for b, c, x in ((Fraction(7, 2), Fraction(3, 2), Fraction(1, 3)),
-                        (Fraction(5), Fraction(9, 4), Fraction(-2, 5)),
-                        (Fraction(13, 3), Fraction(2), Fraction(7, 8))):
-            exact = float(_hyp2f1_fraction(n, b, c, x))
-            got = hyp2f1_terminating(n, float(b), float(c), float(x))
-            # forward error of the float sum scales with the term mass
-            bound = 1e-13 * _hyp2f1_term_mass(n, b, c, x) + 1e-14 * abs(exact)
-            assert abs(got - exact) < bound
-
-
-def test_hyp2f1_zero_order_is_one():
-    assert hyp2f1_terminating(0, 3.3, 1.1, 0.9) == 1.0
-
-
-def test_hyp2f1_rejects_degenerate_denominator():
-    with pytest.raises(DomainError):
-        hyp2f1_terminating(3, 1.0, -1.0, 0.5)
-    with pytest.raises(DomainError):
-        hyp2f1_terminating(2, 1.0, 0.0, 0.5)
-
-
 # Gegenbauer polynomials
 
 def test_gegenbauer_low_order_coefficients():
-    p0 = gegenbauer_poly(0, 1.5)
-    assert list(p0.coeffs) == [1.0]
-    p1 = gegenbauer_poly(1, 1.5)
-    assert list(p1.coeffs) == [0.0, 3.0]
-    p2 = gegenbauer_poly(2, 1.5)
-    assert list(p2.coeffs) == pytest.approx([-1.5, 0.0, 7.5], rel=1e-15)
+    assert list(gegenbauer_poly(0, 1.5)) == [1.0]
+    assert list(gegenbauer_poly(1, 1.5)) == [0.0, 3.0]
+    assert list(gegenbauer_poly(2, 1.5)) == pytest.approx([-1.5, 0.0, 7.5], rel=1e-15)
 
 
 def _gegenbauer_fraction_coeffs(n, lam: Fraction):
@@ -141,32 +85,30 @@ def _gegenbauer_fraction_coeffs(n, lam: Fraction):
 def test_gegenbauer_matches_exact_recurrence(lam):
     for n in range(13):
         exact = _gegenbauer_fraction_coeffs(n, lam)
-        got = gegenbauer_poly(n, float(lam)).coeffs
+        got = gegenbauer_poly(n, float(lam))
         assert len(got) == len(exact)
         for g, e in zip(got, exact):
             assert g == pytest.approx(float(e), rel=1e-13, abs=1e-13)
 
 
 def test_gegenbauer_parity_zeros_are_exact():
-    p = gegenbauer_poly(9, 2.0)
-    assert all(c == 0.0 for c in p.coeffs[0::2])
-    p = gegenbauer_poly(8, 2.0)
-    assert all(c == 0.0 for c in p.coeffs[1::2])
+    assert all(c == 0.0 for c in gegenbauer_poly(9, 2.0)[0::2])
+    assert all(c == 0.0 for c in gegenbauer_poly(8, 2.0)[1::2])
 
 
 def test_gegenbauer_value_consistent_with_coefficients():
     y = np.linspace(-1.0, 1.0, 41)
     for n, lam in ((4, 0.7), (11, 1.5), (17, 3.2)):
         via_recurrence = gegenbauer_value(n, lam, y)
-        via_poly = gegenbauer_poly(n, lam)(y)
+        via_poly = npoly.polyval(y, gegenbauer_poly(n, lam))
         scale = np.max(np.abs(via_recurrence))
         assert np.max(np.abs(via_recurrence - via_poly)) < 1e-11 * scale
 
 
 def test_gegenbauer_derivative_shifts_order_and_weight():
     for n, lam in ((5, 1.5), (9, 0.8), (14, 2.5)):
-        dc = gegenbauer_poly(n, lam).derivative_coeffs()
-        target = 2.0 * lam * gegenbauer_poly(n - 1, lam + 1.0).coeffs
+        dc = npoly.polyder(gegenbauer_poly(n, lam))
+        target = 2.0 * lam * gegenbauer_poly(n - 1, lam + 1.0)
         assert len(dc) == len(target)
         scale = np.max(np.abs(target))
         assert np.max(np.abs(dc - target)) < 1e-13 * scale
@@ -196,43 +138,6 @@ def test_gegenbauer_domain():
         gegenbauer_poly(3, -0.5)
     with pytest.raises(DomainError):
         gegenbauer_poly(101, 1.5)
-
-
-# associated Legendre with half-integer shift
-
-def test_legendre_integer_order_sign_convention():
-    # the first-order function at the origin carries the alternating phase
-    assert assoc_legendre_half_shift(0, 1, 0.0) == pytest.approx(-1.0, rel=1e-14)
-
-
-def test_legendre_integer_vs_scipy():
-    y = np.linspace(-0.95, 0.95, 21)
-    for L in (0, 1, 2, 3):
-        for n in range(9):
-            ours = np.array([assoc_legendre_half_shift(n, L, t) for t in y])
-            ref = sps.lpmv(L, n + L, y)
-            scale = max(np.max(np.abs(ref)), 1.0)
-            assert np.max(np.abs(ours - ref)) < 1e-10 * scale
-
-
-def test_legendre_half_order_reduces_to_sine_form():
-    # order 1/2: sqrt(2 / (pi sin(theta))) * sin((n+1) theta) with y = cos(theta);
-    # compare against the grid maximum since the oscillation has interior zeros
-    # and the hypergeometric route loses a few digits to cancellation there
-    thetas = np.linspace(0.15, np.pi - 0.15, 17)
-    for n in (0, 1, 2, 5, 9):
-        closed = np.array(
-            [math.sqrt(2.0 / (math.pi * math.sin(t))) * math.sin((n + 1) * t) for t in thetas]
-        )
-        got = np.array([assoc_legendre_half_shift(n, 0.5, math.cos(t)) for t in thetas])
-        assert np.max(np.abs(got - closed)) < 5e-10 * np.max(np.abs(closed))
-
-
-def test_legendre_domain():
-    with pytest.raises(DomainError):
-        assoc_legendre_half_shift(2, 1.0, 1.5)
-    with pytest.raises(DomainError):
-        assoc_legendre_half_shift(2, -1.0, 0.3)
 
 
 # modified Bessel, first kind
