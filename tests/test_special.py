@@ -131,6 +131,20 @@ def test_gegenbauer_vs_scipy_grid():
             assert np.max(np.abs(ours - ref)) < 1e-10 * scale
 
 
+def test_legendre_integer_vs_scipy():
+    # the basis states rest on the Gegenbauer route to the shifted-degree
+    # Ferrers function: P_{n+L}^L(y) = (-1)^L (2L-1)!! (1-y^2)^{L/2} C_n^{L+1/2}(y),
+    # with the Condon-Shortley phase that scipy's lpmv uses
+    y = np.linspace(-0.95, 0.95, 21)
+    for L in (0, 1, 2, 3):
+        double_fact = math.exp(log_gamma(2.0 * L + 1.0) - log_gamma(L + 1.0) - L * math.log(2.0))
+        for n in range(9):
+            ours = (-1.0) ** L * double_fact * (1.0 - y * y) ** (L / 2.0) * gegenbauer_value(n, L + 0.5, y)
+            ref = sps.lpmv(L, n + L, y)
+            scale = max(np.max(np.abs(ref)), 1.0)
+            assert np.max(np.abs(ours - ref)) < 1e-10 * scale
+
+
 def test_gegenbauer_domain():
     with pytest.raises(DomainError):
         gegenbauer_poly(-1, 1.5)
