@@ -25,7 +25,7 @@ from .coherent import (
     radial_weight_moment,
     resolution_of_identity_check,
 )
-from .errors import ConvergenceError, DomainError, IntegrationError, SingularityError
+from .errors import ConvergenceError, DomainError, IntegrationError
 from .model import (
     BasisState,
     PotentialParams,
@@ -34,7 +34,6 @@ from .model import (
     eval_state,
     momentum_level,
     overlap,
-    potential_value,
     residual_ode,
 )
 from .quadrature import (
@@ -65,7 +64,6 @@ __all__ = [
     "LadderCoefficients",
     "PotentialParams",
     "QuadratureRule",
-    "SingularityError",
     "TruncationWarning",
     "VerificationReport",
     "apply_lowering",
@@ -89,7 +87,6 @@ __all__ = [
     "lowering_eigenstate_residual",
     "momentum_level",
     "overlap",
-    "potential_value",
     "radial_weight_moment",
     "residual_ode",
     "resolution_of_identity_check",

@@ -94,7 +94,7 @@ def apply_lowering(state: BasisState):
     return _envelope_image(state, lambda y, u, du: pref * (k * y * u + (1.0 - y * y) * du))
 
 
-def commutator_residual(n: int, params: PotentialParams, grid: np.ndarray | None = None) -> float:
+def commutator_residual(n: int, params: PotentialParams) -> float:
     """Pointwise residual of [lower, raise] = 2 gamma0 on level n.
 
     The two operator chains are composed pointwise: the first map's image and
@@ -103,12 +103,7 @@ def commutator_residual(n: int, params: PotentialParams, grid: np.ndarray | None
     to 2 (n + L + 1/2) psi_n on a tau grid; returns the max deviation scaled by
     max |psi_n|.
     """
-    if grid is None:
-        grid = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, 201)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if np.any(np.abs(grid) >= 0.5 * np.pi):
-            raise DomainError("grid must lie strictly inside (-pi/2, pi/2)")
+    grid = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, 201)
     state = build_basis_state(n, params)
     L, lam = state.L, state.lam
     y = np.sin(grid)

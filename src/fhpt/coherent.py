@@ -134,20 +134,15 @@ def general_expectation(cs: CoherentState, element: Callable[[int, int], complex
     return complex(total)
 
 
-def radial_weight_moment(mu: float, nu: float, a: float = 2.0) -> float:
-    """Closed form of the moment integral of r^mu against K_nu(a r) over (0, inf).
+def radial_weight_moment(mu: float, nu: float) -> float:
+    """Closed form of the moment integral of r^mu against K_nu(2 r) over (0, inf).
 
-    Equals 2^(mu-1) a^(-mu-1) Gamma((1 + mu + nu) / 2) Gamma((1 + mu - nu) / 2),
-    valid for mu + 1 > |nu|.
+    Equals Gamma((1 + mu + nu) / 2) Gamma((1 + mu - nu) / 2) / 4, valid for
+    mu + 1 > |nu|.
     """
     if mu + 1.0 <= abs(nu):
         raise DomainError(f"moment diverges: need mu + 1 > |nu|, got mu={mu!r}, nu={nu!r}")
-    return (
-        2.0 ** (mu - 1.0)
-        * a ** (-mu - 1.0)
-        * gamma_fn(0.5 * (1.0 + mu + nu))
-        * gamma_fn(0.5 * (1.0 + mu - nu))
-    )
+    return 0.25 * gamma_fn(0.5 * (1.0 + mu + nu)) * gamma_fn(0.5 * (1.0 + mu - nu))
 
 
 def resolution_of_identity_check(

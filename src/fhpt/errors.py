@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class SingularityError(DomainError):
-    """Evaluation requested exactly on a pole of the potential."""
-
-
 class IntegrationError(RuntimeError):
     """Quadrature aborted; the message carries the offending node."""
 

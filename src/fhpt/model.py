@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 from .quadrature import QuadratureRule, gauss_legendre
 from .special import gegenbauer_value, log_gamma
 
@@ -35,7 +35,6 @@ __all__ = [
     "eval_state",
     "momentum_level",
     "overlap",
-    "potential_value",
     "residual_ode",
 ]
 
@@ -184,38 +183,16 @@ def _second_derivative(state: BasisState, tau: np.ndarray) -> np.ndarray:
     return core + lam * (lam - 1.0) * cq ** (lam - 2.0) * u
 
 
-def potential_value(t, params: PotentialParams):
-    """Well profile A (A - 1) sec^2(c1 t); SingularityError within 1e-15 of a pole."""
-    arg = np.asarray(params.c1 * np.asarray(t, dtype=float), dtype=float)
-    cq = np.cos(arg)
-    if np.any(np.abs(cq) < 1e-15):
-        raise SingularityError("potential evaluated too close to a pole of sec^2")
-    vals = params.A * (params.A - 1.0) / (cq * cq)
-    if np.isscalar(t):
-        return float(vals)
-    return vals
-
-
-def residual_ode(
-    n: int,
-    params: PotentialParams,
-    grid: np.ndarray | None = None,
-    momentum: float | None = None,
-) -> float:
-    """Scaled residual of the master equation at level n on a tau grid.
+def residual_ode(n: int, params: PotentialParams, momentum: float | None = None) -> float:
+    """Scaled residual of the master equation at level n on 401 tau points.
 
     Returns max |c1^2 psi'' + (c/M) P psi - (1/M) A(A-1) sec^2(tau) psi|
     divided by max |psi| over the grid.  P defaults to the quantized value
     for level n; passing momentum explicitly turns the residual into a
-    detector for off-spectrum values.  The default grid keeps a 0.05 margin
-    from the interval ends where sec^2 amplifies roundoff.
+    detector for off-spectrum values.  The grid keeps a 0.05 margin from
+    the interval ends where sec^2 amplifies roundoff.
     """
-    if grid is None:
-        grid = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, 401)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if np.any(np.abs(grid) >= 0.5 * np.pi):
-            raise DomainError("residual grid must lie strictly inside (-pi/2, pi/2)")
+    grid = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, 401)
     state = build_basis_state(n, params)
     M = params.mass_scale
     psi = eval_state(state, grid)

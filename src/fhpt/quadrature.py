@@ -87,19 +87,23 @@ def default_r_max(poly_degree: float) -> float:
 
 
 # a verify integrates several moments against each grid, so grids are cached
-# per (nu, a, geometry, rule); rules are cached per order, so a rule's
-# identity is a stable key, and 32 grids of 6,400 nodes take about 3.3 MB
+# per (nu, geometry, rule); rules are cached per order, so a rule's identity
+# is a stable key, and 32 grids of 6,400 nodes take about 3.3 MB
 @functools.lru_cache(maxsize=32)
-def _k_weighted_grid(nu: float, a: float, lo: float, hi: float, n_panels: int, rule: QuadratureRule):
+def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int, rule: QuadratureRule):
     edges = np.geomspace(lo, hi, n_panels + 1)
     nodes = np.concatenate(
         [0.5 * (l + h) + 0.5 * (h - l) * rule.nodes for l, h in zip(edges[:-1], edges[1:])]
     )
     weights = np.concatenate([0.5 * (h - l) * rule.weights for l, h in zip(edges[:-1], edges[1:])])
-    wk = weights * _bessel_k_array(nu, a * nodes)
+    wk = weights * _bessel_k_array(nu, 2.0 * nodes)
     nodes.setflags(write=False)
     wk.setflags(write=False)
     return nodes, wk
+
+
+def _point(g: Callable, nu: float, r: float) -> float:
+    return float(np.asarray(g(np.array([r])), dtype=float)[0]) * bessel_k(nu, 2.0 * r)
 
 
 def integrate_semi_infinite_k_weight(
@@ -107,89 +111,65 @@ def integrate_semi_infinite_k_weight(
     nu: float,
     r_max: float | None = None,
     rule: QuadratureRule | None = None,
-    a: float = 2.0,
 ) -> float:
-    """Integral of g(r) * K_nu(a r) over (0, infinity), truncated at r_max.
+    """Integral of g(r) * K_nu(2 r) over (0, infinity), truncated at r_max.
 
-    32 geometric panels from 1e-6 up to r_max absorb the integrable endpoint
-    behaviour; when the probed power law of the integrand indicates that the
-    region below the mesh still matters, extra ratio-100 panels are appended
-    downward until its estimated contribution is negligible.  Tails that stay
-    above 1e-12 of the result (either end) raise TruncationWarning.
+    32 geometric panels span [lo, r_max].  lo is 1e-6, or for nu above about
+    44 the radius e_nu below which K_nu(2 r) ~ Gamma(nu) r^(-nu) / 2 leaves
+    the double range.  Below lo the integrand follows a power law C r^p,
+    probed at lo and 2 lo, so the dropped piece is T = f(lo) lo / (p + 1).
+    When T exceeds 1e-13 of the result, ratio-100 panels cover the part of
+    (e_nu, lo) that matters and the rest below them is added in closed form.
+    A probed p <= -1 (a divergent integral) or an upper tail above 1e-12 of
+    the result raises TruncationWarning.
     """
-    if nu < 0.0:
-        nu = -nu
-    if a <= 0.0:
-        raise DomainError(f"weight scale must be positive, got {a!r}")
+    nu = abs(nu)
     if rule is None:
         rule = gauss_legendre(200)
     if r_max is None:
         r_max = default_r_max(0.0)
-    if not r_max > 1e-6:
-        raise DomainError(f"r_max must exceed the inner mesh edge 1e-6, got {r_max!r}")
+    floor = 1e-240
+    if nu > 0.0:
+        floor = max(floor, math.exp(-(700.0 - math.lgamma(nu)) / nu))
+    lo = max(1e-6, floor)
+    if not r_max > lo:
+        raise DomainError(f"r_max must exceed the inner mesh edge {lo!r}, got {r_max!r}")
 
-    nodes, wk = _k_weighted_grid(nu, a, 1e-6, r_max, 32, rule)
+    nodes, wk = _k_weighted_grid(nu, lo, r_max, 32, rule)
     gv = np.asarray(g(nodes), dtype=float)
     if not np.all(np.isfinite(gv)):
         bad = nodes[~np.isfinite(gv)][0]
         raise IntegrationError(f"integrand returned a non-finite value at node {float(bad)!r}")
     total = float(np.dot(wk, gv))
+    scale = max(abs(total), 1e-300)
 
     # upper tail: one extra e-folding of the exponential weight as the scale
-    f_hi = abs(float(np.asarray(g(np.array([r_max])), dtype=float)[0]) * bessel_k(nu, a * r_max))
-    if f_hi > 1e-12 * max(abs(total), 1e-300) * a:
+    f_hi = abs(_point(g, nu, r_max))
+    if f_hi > 2e-12 * scale:
         warnings.warn(
             f"upper truncation at r_max={r_max} leaves an estimated relative tail "
-            f"{f_hi / (a * max(abs(total), 1e-300)):.2e}",
+            f"{f_hi / (2.0 * scale):.2e}",
             TruncationWarning,
             stacklevel=2,
         )
 
-    # lower tail: probe the local power law f ~ C r^p and extend the mesh
-    # downward while the closed-form estimate C lo^{p+1}/(p+1) is significant
-    lo = 1e-6
-    floor = 1e-240
-    if nu > 0.0:
-        # keep K_nu(a r) representable on the extension
-        floor = max(floor, (2.0 / a) * math.exp(-(700.0 - math.lgamma(nu)) / nu))
-    settled = False
-    for _ in range(200):
-        f1 = float(np.asarray(g(np.array([lo])), dtype=float)[0]) * bessel_k(nu, a * lo)
-        f2 = float(np.asarray(g(np.array([2.0 * lo])), dtype=float)[0]) * bessel_k(nu, a * 2.0 * lo)
-        if not (f1 > 0.0 and f2 > 0.0):
-            settled = True
-            break
-        p = math.log(f2 / f1) / math.log(2.0)
-        if p <= -1.0:
-            warnings.warn(
-                f"integrand grows like r^{p:.3f} toward 0; the integral may diverge",
-                TruncationWarning,
-                stacklevel=2,
-            )
-            settled = True
-            break
-        tail = f1 * lo / (p + 1.0)
-        if tail < 1e-13 * max(abs(total), 1e-300):
-            settled = True
-            break
-        if lo <= floor:
-            warnings.warn(
-                f"lower tail below r={lo:.1e} still contributes an estimated relative "
-                f"{tail / max(abs(total), 1e-300):.2e} but the mesh cannot be extended further",
-                TruncationWarning,
-                stacklevel=2,
-            )
-            settled = True
-            break
-        new_lo = max(lo / 100.0, floor)
-        pn, pw = _k_weighted_grid(nu, a, new_lo, lo, 1, rule)
-        pg = np.asarray(g(pn), dtype=float)
-        total += float(np.dot(pw, pg))
-        lo = new_lo
-    if not settled:
+    # lower tail: f ~ C r^p below lo, so (0, lo / 100^k) holds T 100^(-k (p + 1))
+    f1, f2 = _point(g, nu, lo), _point(g, nu, 2.0 * lo)
+    if not (f1 > 0.0 and f2 > 0.0):
+        return total
+    p = math.log2(f2 / f1)
+    if p <= -1.0:
         warnings.warn(
-            "lower-tail extension budget exhausted before the tail estimate became negligible",
+            f"integrand grows like r^{p:.3f} toward 0; the integral may diverge",
             TruncationWarning,
             stacklevel=2,
         )
-    return total
+        return total
+    tail = f1 * lo / (p + 1.0)
+    if tail <= 1e-13 * scale:
+        return total
+    k = min(math.ceil(math.log(tail / (1e-13 * scale), 100.0) / (p + 1.0)), int(math.log(lo / floor, 100.0)))
+    if k > 0:
+        pn, pw = _k_weighted_grid(nu, lo / 100.0**k, lo, k, rule)
+        total += float(np.dot(pw, np.asarray(g(pn), dtype=float)))
+    return total + tail * 100.0 ** (-k * (p + 1.0))

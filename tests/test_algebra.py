@@ -111,9 +111,3 @@ def test_adjointness_under_t_measure():
             eig = ladder_coefficients(n, p.L).raise_eig
             assert lhs == pytest.approx(eig, rel=1e-10)
             assert rhs == pytest.approx(eig, rel=1e-10)
-
-
-def test_commutator_grid_domain():
-    p = PotentialParams(A=2.0)
-    with pytest.raises(DomainError):
-        commutator_residual(2, p, grid=np.array([1.6]))

@@ -878,8 +878,13 @@ def test_expect_at_large_well_strength():
     assert rows["raising_mean_re"] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_verify_exits_two_when_the_k_grid_overflows():
-    # 2L = 45: K_45 at the first grid node exceeds the double range
-    res = run_cli("verify", "--A", "23")
-    assert res.returncode == 2
-    assert "exceeds the double range" in res.stderr
+def test_verify_and_resolution_past_the_fixed_k_mesh_edge():
+    # 2L = 45 and 81: K_2L(2 r) at r = 1e-6 exceeds the double range, so the
+    # K mesh starts where it is still representable
+    for A in ("23", "41"):
+        res = run_cli("verify", "--A", A)
+        assert res.returncode == 0, res.stderr
+        assert "all 17 checks passed" in res.stderr
+    res = run_cli("resolution", "--A", "23")
+    assert res.returncode == 0
+    assert res.stderr == ""

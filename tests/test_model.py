@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from fhpt.errors import DomainError, SingularityError
+from fhpt.errors import DomainError
 from fhpt.model import (
     PotentialParams,
     build_basis_state,
@@ -15,7 +15,6 @@ from fhpt.model import (
     eval_state,
     momentum_level,
     overlap,
-    potential_value,
     residual_ode,
 )
 from fhpt.quadrature import gauss_legendre
@@ -244,32 +243,6 @@ def test_half_interval_overlap_structure():
     assert abs(overlap(0, 1, p, rule, interval="half")) > 1e-3
 
 
-# potential
-
-def test_potential_values():
-    p = PotentialParams(A=2.0)
-    assert potential_value(0.0, p) == 2.0
-    assert potential_value(np.pi / 3.0, p) == pytest.approx(8.0, rel=1e-14)
-    zero = PotentialParams(A=1.0)
-    assert potential_value(0.7, zero) == 0.0
-
-
-def test_potential_scales_with_c1():
-    p = PotentialParams(A=2.0, c1=2.0)
-    # poles move to c1 t = pi/2
-    assert potential_value(np.pi / 6.0, p) == pytest.approx(8.0, rel=1e-14)
-    with pytest.raises(SingularityError):
-        potential_value(np.pi / 4.0, p)
-
-
-def test_potential_singularity_guard():
-    p = PotentialParams(A=2.0)
-    with pytest.raises(SingularityError):
-        potential_value(0.5 * np.pi, p)
-    with pytest.raises(SingularityError):
-        potential_value(np.array([0.1, 0.5 * np.pi]), p)
-
-
 # equation residual
 
 def test_residual_small_on_spectrum():
@@ -289,9 +262,3 @@ def test_residual_detects_off_spectrum_momentum():
 def test_residual_general_units():
     p = PotentialParams(A=2.3, c1=2.0, m0=0.25, c=3.0, hbar=1.7)
     assert residual_ode(6, p) < 1e-9
-
-
-def test_residual_grid_domain():
-    p = PotentialParams(A=2.0)
-    with pytest.raises(DomainError):
-        residual_ode(2, p, grid=np.array([0.0, 0.5 * np.pi]))

@@ -1,7 +1,9 @@
 """Rule construction and the K-weighted integrator."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -71,13 +73,8 @@ def test_default_r_max_floor_and_growth():
     assert default_r_max(10.0) == 105.0
 
 
-def _closed_moment(mu, nu, a=2.0):
-    return (
-        2.0 ** (mu - 1.0)
-        * a ** (-mu - 1.0)
-        * math.gamma(0.5 * (1.0 + mu + nu))
-        * math.gamma(0.5 * (1.0 + mu - nu))
-    )
+def _closed_moment(mu, nu):
+    return 0.25 * math.gamma(0.5 * (1.0 + mu + nu)) * math.gamma(0.5 * (1.0 + mu - nu))
 
 
 @pytest.mark.parametrize(
@@ -92,9 +89,18 @@ def test_k_weighted_moments_match_closed_form(mu, nu):
     assert got == pytest.approx(exact, rel=1e-11)
 
 
-def test_k_weighted_other_weight_scale():
-    got = integrate_semi_infinite_k_weight(lambda r: r**2.0, 1.0, r_max=60.0, a=1.0)
-    assert got == pytest.approx(_closed_moment(2.0, 1.0, a=1.0), rel=1e-11)
+@pytest.mark.parametrize(
+    "mu,nu",
+    [(0.4, 1.39), (0.1, 1.05), (0.05, 1.0), (91.0, 45.0), (81.0, 80.0)],
+)
+def test_k_weighted_lower_tail_closed_form(mu, nu):
+    # mu + 1 - nu down to 0.01 leaves much of the integral below r = 1e-6;
+    # at nu = 45 and 80 the mesh starts where K_nu(2 r) nears the double range
+    exact = mpmath.gamma((1.0 + mu + nu) / 2.0) * mpmath.gamma((1.0 + mu - nu) / 2.0) / 4.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        got = integrate_semi_infinite_k_weight(lambda r: r**mu, nu, r_max=default_r_max(mu))
+    assert got == pytest.approx(float(exact), rel=1e-9)
 
 
 def test_k_weighted_warns_on_tight_cutoff():
@@ -103,14 +109,12 @@ def test_k_weighted_warns_on_tight_cutoff():
 
 
 def test_k_weighted_warns_near_divergence():
-    # mu + 1 - nu = 0.01: the lower tail cannot be exhausted by mesh refinement
-    with pytest.warns(TruncationWarning):
-        integrate_semi_infinite_k_weight(lambda r: r**0.4, 1.39, r_max=30.0)
+    # r^0.2 K_1.5(2 r) ~ r^-1.3 toward 0: the integral diverges
+    with pytest.warns(TruncationWarning, match="diverge"):
+        integrate_semi_infinite_k_weight(lambda r: r**0.2, 1.5, r_max=30.0)
 
 
 def test_k_weighted_rejects_bad_scale():
-    with pytest.raises(DomainError):
-        integrate_semi_infinite_k_weight(lambda r: r, 1.0, r_max=10.0, a=-1.0)
     with pytest.raises(DomainError):
         integrate_semi_infinite_k_weight(lambda r: r, 1.0, r_max=1e-7)
 
@@ -118,7 +122,7 @@ def test_k_weighted_rejects_bad_scale():
 def test_k_weighted_rejects_non_finite_integrand():
     # the message names the first bad node as a plain float
     rule = gauss_legendre(20)
-    nodes, _ = _k_weighted_grid(0.5, 2.0, 1e-6, 30.0, 32, rule)
+    nodes, _ = _k_weighted_grid(0.5, 1e-6, 30.0, 32, rule)
     bad = float(nodes[nodes > 5.0][0])
     with pytest.raises(IntegrationError) as err:
         integrate_semi_infinite_k_weight(lambda r: np.where(r > 5.0, np.inf, r), 0.5, r_max=30.0, rule=rule)
@@ -132,5 +136,5 @@ def test_k_grid_cache_is_bounded():
         integrate_semi_infinite_k_weight(lambda r: r**3.0, 0.5 + 0.01 * k, r_max=30.0, rule=rule)
     info = _k_weighted_grid.cache_info()
     assert info.maxsize == 32 and info.currsize <= 32
-    nodes, wk = _k_weighted_grid(0.89, 2.0, 1e-6, 30.0, 32, rule)
-    assert _k_weighted_grid(0.89, 2.0, 1e-6, 30.0, 32, rule)[1] is wk
+    nodes, wk = _k_weighted_grid(0.89, 1e-6, 30.0, 32, rule)
+    assert _k_weighted_grid(0.89, 1e-6, 30.0, 32, rule)[1] is wk
