@@ -45,10 +45,8 @@ from .quadrature import (
 from .special import (
     bessel_i,
     bessel_k,
-    gamma_fn,
     gegenbauer_poly,
     gegenbauer_value,
-    log_gamma,
 )
 
 __version__ = "0.1.0"
@@ -76,14 +74,12 @@ __all__ = [
     "commutator_residual",
     "derive_a_prime",
     "eval_state",
-    "gamma_fn",
     "gauss_legendre",
     "gegenbauer_poly",
     "gegenbauer_value",
     "general_expectation",
     "integrate_semi_infinite_k_weight",
     "ladder_coefficients",
-    "log_gamma",
     "lowering_eigenstate_residual",
     "momentum_level",
     "overlap",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _check_int
 from .model import BasisState, PotentialParams, _poly_derivatives, build_basis_state, eval_state
 
 __all__ = [
@@ -47,8 +47,7 @@ class LadderCoefficients:
 
 
 def ladder_coefficients(n: int, L: float) -> LadderCoefficients:
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"level index must be a nonnegative integer, got {n!r}")
+    _check_int("level index", n, 0)
     return LadderCoefficients(
         n=int(n),
         L=L,

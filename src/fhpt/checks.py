@@ -24,19 +24,14 @@ from .coherent import (
     radial_weight_moment,
     resolution_of_identity_check,
 )
-from .errors import DomainError
+from .errors import DomainError, _check_int
 from .model import _MAX_LEVEL, PotentialParams, build_basis_state, eval_state, momentum_level, overlap, residual_ode
 from .quadrature import _MAX_ORDER, default_r_max, gauss_legendre, integrate_semi_infinite_k_weight
-from .special import bessel_i, bessel_k, gamma_fn
+from .special import bessel_i, bessel_k
 
 __all__ = ["CheckConfig", "CheckResult", "VerificationReport", "run_checks"]
 
 REPORT_VERSION = "fhpt-report/1"
-
-
-def _check_int(name: str, v, lo: int, hi: int) -> None:
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= v <= hi:
-        raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -225,7 +220,7 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
         term_log_x = math.log(x)
         n = 0
         while True:
-            t = math.exp((2 * n + m) * term_log_x - math.lgamma(n + 1.0)) / gamma_fn(n + m + 1.0)
+            t = math.exp((2 * n + m) * term_log_x - math.lgamma(n + 1.0)) / math.gamma(n + m + 1.0)
             total += t
             if n > 3 and t < 1e-20 * total:
                 break

@@ -24,10 +24,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _check_int
 from .model import PotentialParams
 from .quadrature import QuadratureRule, default_r_max, integrate_semi_infinite_k_weight
-from .special import _bessel_i_series, bessel_i, gamma_fn, log_gamma
+from .special import _bessel_i_series, bessel_i
 
 __all__ = [
     "CoherentState",
@@ -84,7 +84,7 @@ def build_coherent_state(z: complex, params: PotentialParams, tail_tol: float = 
         # scaled by it, which stays representable
         log_t0, scaled = _bessel_i_series(2.0 * L, 2.0 * r)
         log_norm = log_t0 + math.log(scaled)
-    log_c0 = L * math.log(r) - 0.5 * (log_norm + log_gamma(2.0 * L + 1.0))
+    log_c0 = L * math.log(r) - 0.5 * (log_norm + math.lgamma(2.0 * L + 1.0))
 
     log_mags = [log_c0]
     n = 0
@@ -142,7 +142,7 @@ def radial_weight_moment(mu: float, nu: float) -> float:
     """
     if mu + 1.0 <= abs(nu):
         raise DomainError(f"moment diverges: need mu + 1 > |nu|, got mu={mu!r}, nu={nu!r}")
-    return 0.25 * gamma_fn(0.5 * (1.0 + mu + nu)) * gamma_fn(0.5 * (1.0 + mu - nu))
+    return 0.25 * math.gamma(0.5 * (1.0 + mu + nu)) * math.gamma(0.5 * (1.0 + mu - nu))
 
 
 def resolution_of_identity_check(
@@ -160,8 +160,7 @@ def resolution_of_identity_check(
     identity holds when every diagonal element equals 1.
     """
     for k in (n, n_prime):
-        if not isinstance(k, (int, np.integer)) or k < 0:
-            raise DomainError(f"level index must be a nonnegative integer, got {k!r}")
+        _check_int("level index", k, 0)
     if n_prime != n:
         return 0.0
     L = params.L
@@ -171,5 +170,5 @@ def resolution_of_identity_check(
     value = integrate_semi_infinite_k_weight(
         lambda rr: rr**degree, 2.0 * L, r_max=r_max, rule=rule
     )
-    pref = 4.0 * math.exp(-log_gamma(n + 1.0) - log_gamma(n + 2.0 * L + 1.0))
+    pref = 4.0 * math.exp(-math.lgamma(n + 1.0) - math.lgamma(n + 2.0 * L + 1.0))
     return pref * value

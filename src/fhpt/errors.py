@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument check."""
+
+from __future__ import annotations
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -11,3 +15,10 @@ class IntegrationError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """An iteration failed to reach its tolerance within its budget."""
+
+
+def _check_int(name: str, v, lo: int, hi: int | None = None) -> None:
+    """Raise DomainError unless v is an integer (not a bool) in [lo, hi]; hi=None leaves it unbounded."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < lo or (hi is not None and v > hi):
+        span = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+        raise DomainError(f"{name} must be {span}, got {v!r}")

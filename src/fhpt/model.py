@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_int
 from .quadrature import QuadratureRule, gauss_legendre
-from .special import gegenbauer_value, log_gamma
+from .special import gegenbauer_value
 
 __all__ = [
     "BasisState",
@@ -99,8 +99,7 @@ def derive_a_prime(params: PotentialParams) -> float:
 
 def momentum_level(n: int, params: PotentialParams) -> float:
     """Quantized momentum of level n: (c1^2 M / c) (n + a_prime / 2)^2."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"level index must be a nonnegative integer, got {n!r}")
+    _check_int("level index", n, 0)
     base = n + 0.5 * params.a_prime
     return params.c1**2 * params.mass_scale / params.c * base * base
 
@@ -114,14 +113,13 @@ class BasisState:
     lam: float
     norm: float
     scale: float
-    interval: str
 
 
 def _half_interval_norm(n: int, L: float) -> float:
     # sqrt((2n + 2L + 1) n! / Gamma(n + 2L + 1)), the half-interval constant
     # of the associated-Legendre normalization
     return math.exp(
-        0.5 * (math.log(2.0 * n + 2.0 * L + 1.0) + log_gamma(n + 1.0) - log_gamma(n + 2.0 * L + 1.0))
+        0.5 * (math.log(2.0 * n + 2.0 * L + 1.0) + math.lgamma(n + 1.0) - math.lgamma(n + 2.0 * L + 1.0))
     )
 
 
@@ -133,8 +131,7 @@ def build_basis_state(n: int, params: PotentialParams, interval: str = "full") -
     half-interval constant (and the alternating phase of the integer-order
     associated-Legendre functions when L is an integer).
     """
-    if not isinstance(n, (int, np.integer)) or not 0 <= n <= _MAX_LEVEL:
-        raise DomainError(f"level index must be an integer in [0, {_MAX_LEVEL}], got {n!r}")
+    _check_int("level index", n, 0, _MAX_LEVEL)
     if interval not in ("full", "half"):
         raise DomainError(f"interval must be 'full' or 'half', got {interval!r}")
     L = params.L
@@ -143,11 +140,11 @@ def build_basis_state(n: int, params: PotentialParams, interval: str = "full") -
     if interval == "full":
         norm /= math.sqrt(2.0)
     # Gegenbauer-to-Legendre conversion constant Gamma(2L+1) / (2^L Gamma(L+1))
-    conv = math.exp(log_gamma(2.0 * L + 1.0) - L * math.log(2.0) - log_gamma(L + 1.0))
+    conv = math.exp(math.lgamma(2.0 * L + 1.0) - L * math.log(2.0) - math.lgamma(L + 1.0))
     sign = 1.0
     if interval == "half" and L == round(L) and int(round(L)) % 2 == 1:
         sign = -1.0
-    return BasisState(int(n), L, lam, norm, sign * norm * conv, interval)
+    return BasisState(int(n), L, lam, norm, sign * norm * conv)
 
 
 def eval_state(state: BasisState, tau) -> np.ndarray | float:
@@ -203,30 +200,15 @@ def residual_ode(n: int, params: PotentialParams, momentum: float | None = None)
     return float(np.max(np.abs(res)) / np.max(np.abs(psi)))
 
 
-def overlap(
-    m: int,
-    n: int,
-    params: PotentialParams,
-    rule: QuadratureRule | None = None,
-    interval: str = "full",
-) -> float:
-    """Inner product of levels m and n in the t measure.
+def overlap(m: int, n: int, params: PotentialParams, rule: QuadratureRule | None = None) -> float:
+    """Inner product of levels m and n in the t measure over tau in (-pi/2, pi/2).
 
-    "full" integrates tau over (-pi/2, pi/2) and is the convention under
-    which the basis is orthonormal; "half" integrates over (0, pi/2), where
-    states of opposite parity are not orthogonal.
+    The basis is orthonormal under this product.
     """
     if rule is None:
         rule = gauss_legendre(200)
-    sm = build_basis_state(m, params, interval)
-    sn = build_basis_state(n, params, interval)
-    if interval == "full":
-        lo, hi = -0.5 * np.pi, 0.5 * np.pi
-    else:
-        lo, hi = 0.0, 0.5 * np.pi
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    tau = mid + half * rule.nodes
-    vals = eval_state(sm, tau) * eval_state(sn, tau)
+    half = 0.5 * np.pi
+    tau = half * rule.nodes
+    vals = eval_state(build_basis_state(m, params), tau) * eval_state(build_basis_state(n, params), tau)
     # dt = dtau / c1
     return float(half * np.dot(rule.weights, vals) / params.c1)

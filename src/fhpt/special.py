@@ -1,10 +1,10 @@
 """Self-contained special-function kernel.
 
-Everything the model layer needs lives here: Gamma and log-Gamma, Gegenbauer
-polynomials (values by the three-term recurrence, and exact-recurrence
-monomial coefficients), and the modified Bessel pair I_nu, K_nu of real
-order.  The public functions take scalars; a private array kernel evaluates
-K_nu of one order over a whole quadrature grid.
+Everything the model layer needs lives here: Gegenbauer polynomials (values
+by the three-term recurrence, and exact-recurrence monomial coefficients),
+and the modified Bessel pair I_nu, K_nu of real order.  The public functions
+take scalars; a private array kernel evaluates K_nu of one order over a whole
+quadrature grid.
 
 K_nu has two regimes (Temme, J. Comput. Phys. 19 (1975) 324; Numerical
 Recipes section 6.7): with nu = nl + mu, |mu| <= 1/2, Temme's series gives
@@ -34,73 +34,9 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "bessel_i",
     "bessel_k",
-    "gamma_fn",
     "gegenbauer_poly",
     "gegenbauer_value",
-    "log_gamma",
 ]
-
-# Lanczos approximation, g = 7, nine coefficients (the widely published
-# double-precision set; gamma_fn stays within 6e-15 of Gamma for x < 20,
-# but the set's own error grows toward 1.9e-13 as x grows).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _lanczos_series(x: float) -> float:
-    s = _LANCZOS_C[0]
-    for k in range(1, 9):
-        s += _LANCZOS_C[k] / (x - 1.0 + k)
-    return s
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0: Lanczos below x = 20, Stirling's series from there.
-
-    For x < 1/2 one recurrence step Gamma(x) = Gamma(x+1)/x keeps the
-    evaluation inside the well-conditioned region of the coefficient set.
-    The Lanczos error drifts toward C0 - 1 = -1.9e-13 as x grows, so large x
-    take Stirling's series with five correction terms (truncation below
-    2e-15 at x = 20).  Its power x^(x - 1/2) is applied in two halves: on its
-    own it overflows from x = 143, while Gamma(x) stays finite up to 171.6.
-    """
-    if not x > 0.0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x!r}")
-    if x < 0.5:
-        return gamma_fn(x + 1.0) / x
-    if x < 20.0:
-        t = x + _LANCZOS_G - 0.5
-        return math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * math.exp(-t) * _lanczos_series(x)
-    r = 1.0 / (x * x)
-    corr = (1.0 / 12.0 + r * (-1.0 / 360.0 + r * (1.0 / 1260.0 + r * (-1.0 / 1680.0 + r / 1188.0)))) / x
-    p = x ** (0.5 * (x - 0.5))
-    val = math.sqrt(2.0 * math.pi) * p * (p * math.exp(-x)) * math.exp(corr)
-    if math.isinf(val):
-        raise OverflowError(f"gamma_fn({x!r}) exceeds the double range")
-    return val
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0, usable far beyond the overflow range of gamma_fn."""
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        return log_gamma(x + 1.0) - math.log(x)
-    t = x + _LANCZOS_G - 0.5
-    return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(_lanczos_series(x))
-
 
 # ---------------------------------------------------------------------------
 # Gegenbauer polynomials
@@ -169,7 +105,7 @@ def _bessel_i_series(nu: float, x: float) -> tuple[float, float]:
         total += term
         ratio = q / ((k + 1.0) * (k + 1.0 + nu))
         if ratio < 0.5 and term * ratio / (1.0 - ratio) < _TOL * total:
-            return nu * math.log(0.5 * x) - log_gamma(nu + 1.0), total
+            return nu * math.log(0.5 * x) - math.lgamma(nu + 1.0), total
         if k > 10000:
             raise ConvergenceError("bessel_i series did not converge")
 
@@ -340,7 +276,7 @@ def _k_order(nu: float, x_min: float) -> tuple[int, float]:
     # Order set-up shared by both K kernels: nu = nl + mu with |mu| <= 1/2,
     # once K_nu at the smallest argument is known to fit the double range
     # (small-x magnitude estimate ~ Gamma(nu)/2 * (2/x)^nu).
-    if x_min < 2.0 and nu > 0.0 and log_gamma(nu) - math.log(2.0) + nu * math.log(2.0 / x_min) > _OVERFLOW_LOG:
+    if x_min < 2.0 and nu > 0.0 and math.lgamma(nu) - math.log(2.0) + nu * math.log(2.0 / x_min) > _OVERFLOW_LOG:
         raise OverflowError(f"K_{nu}({x_min}) exceeds the double range")
     nl = int(nu + 0.5)
     return nl, nu - nl

@@ -102,11 +102,11 @@ GOLDEN_TABLES = {
 # interval=full
 # samples=3
 tau,psi
--0.7853981633974483,0.7225259014719703
-0.0,-0.8100925873009844
-0.7853981633974483,0.7225259014719703
+-0.7853981633974483,0.7225259014719683
+0.0,-0.8100925873009823
+0.7853981633974483,0.7225259014719683
 # a_prime=3.0
-# norm_constant=0.5400617248673224
+# norm_constant=0.5400617248673217
 """,
     ('coherent', '--z', '0.3@0.4', '--tail-tol', '1e-6', '--format', 'csv'): """# fhpt-table/1 command=coherent
 # A=2.0
@@ -118,16 +118,16 @@ tau,psi
 # z_im=0.11682550269259515
 # tail_tol=1e-06
 n,weight,phase
-0,0.977800491137564,0.0
-1,0.022000511050595195,0.4
-2,0.00019800459945535677,0.8
-3,9.900229972767853e-07,1.2000000000000002
+0,0.9778004911375635,0.0
+1,0.022000511050595178,0.39999999999999997
+2,0.00019800459945535644,0.8
+3,9.900229972767815e-07,1.2000000000000002
 # truncation_level=3
-# tail_bound=4.2429557026148e-09
-# weight_sum=0.9999999968106118
-# mean_level=0.02239949031849773
+# tail_bound=4.24295570261477e-09
+# weight_sum=0.9999999968106114
+# mean_level=0.022399490318497722
 # mean_gamma0=2.022399490318498
-# lowering_residual=5.938894922252167e-17
+# lowering_residual=5.929862377219018e-17
 """,
     ('resolution', '--nmax', '1', '--quad-order', '40', '--format', 'csv'): """# fhpt-table/1 command=resolution
 # A=2.0
@@ -138,10 +138,10 @@ n,weight,phase
 # nmax=1
 # quad_order=40
 n,value,deviation
-0,1.0000000000000013,1.3322676295501878e-15
-1,1.0000000000000018,1.7763568394002505e-15
+0,0.9999999999999999,1.1102230246251565e-16
+1,1.0000000000000009,8.881784197001252e-16
 # r_max=65.0
-# max_abs_deviation=1.7763568394002505e-15
+# max_abs_deviation=8.881784197001252e-16
 """,
     ('expect', '--A', '3', '--z', '0.5+0.5i', '--tail-tol', '1e-8', '--format', 'csv'): """# fhpt-table/1 command=expect
 # A=3.0
@@ -183,20 +183,20 @@ weight_sum,0.9999999999395892
   "rows": [
     [
       -0.7853981633974483,
-      0.7225259014719703
+      0.7225259014719683
     ],
     [
       0.0,
-      -0.8100925873009844
+      -0.8100925873009823
     ],
     [
       0.7853981633974483,
-      0.7225259014719703
+      0.7225259014719683
     ]
   ],
   "summary": {
     "a_prime": 3.0,
-    "norm_constant": 0.5400617248673224
+    "norm_constant": 0.5400617248673217
   }
 }
 """,
@@ -221,32 +221,32 @@ weight_sum,0.9999999999395892
   "rows": [
     [
       0,
-      0.977800491137564,
+      0.9778004911375635,
       0.0
     ],
     [
       1,
-      0.022000511050595195,
-      0.4
+      0.022000511050595178,
+      0.39999999999999997
     ],
     [
       2,
-      0.00019800459945535677,
+      0.00019800459945535644,
       0.8
     ],
     [
       3,
-      9.900229972767853e-07,
+      9.900229972767815e-07,
       1.2000000000000002
     ]
   ],
   "summary": {
     "truncation_level": 3,
-    "tail_bound": 4.2429557026148e-09,
-    "weight_sum": 0.9999999968106118,
-    "mean_level": 0.02239949031849773,
+    "tail_bound": 4.24295570261477e-09,
+    "weight_sum": 0.9999999968106114,
+    "mean_level": 0.022399490318497722,
     "mean_gamma0": 2.022399490318498,
-    "lowering_residual": 5.938894922252167e-17
+    "lowering_residual": 5.929862377219018e-17
   }
 }
 """,
@@ -270,18 +270,18 @@ weight_sum,0.9999999999395892
   "rows": [
     [
       0,
-      1.0000000000000013,
-      1.3322676295501878e-15
+      0.9999999999999999,
+      1.1102230246251565e-16
     ],
     [
       1,
-      1.0000000000000018,
-      1.7763568394002505e-15
+      1.0000000000000009,
+      8.881784197001252e-16
     ]
   ],
   "summary": {
     "r_max": 65.0,
-    "max_abs_deviation": 1.7763568394002505e-15
+    "max_abs_deviation": 8.881784197001252e-16
   }
 }
 """,
@@ -371,23 +371,23 @@ GOLDEN_VERIFY = {
 # quad_order=200
 # tol_override=None
 name,identity,residual,tol,pass
-ode-residual,secant-well-equation,5.692805081530733e-13,1e-09,true
+ode-residual,secant-well-equation,5.713734511977526e-13,1e-09,true
 spectrum-square-law,unit-well-squared-integers,0.0,1e-14,true
-gram-identity,basis-orthonormality,9.547918011776346e-15,1e-10,true
-gram-order-doubling,quadrature-convergence,7.771561172376096e-16,1e-12,true
-ladder-raising,raising-eigenvalue,4.745977641914665e-15,1e-09,true
-ladder-lowering,lowering-eigenvalue,5.173390780383455e-15,1e-09,true
+gram-identity,basis-orthonormality,3.3306690738754696e-15,1e-10,true
+gram-order-doubling,quadrature-convergence,8.881784197001252e-16,1e-12,true
+ladder-raising,raising-eigenvalue,4.7247902417275375e-15,1e-09,true
+ladder-lowering,lowering-eigenvalue,3.6952791288453314e-15,1e-09,true
 ground-annihilation,lowering-kills-ground,0.0,1e-10,true
-commutator,ladder-commutator,6.054602940283372e-14,1e-09,true
+commutator,ladder-commutator,9.239143561501516e-14,1e-09,true
 casimir-constancy,casimir-invariant,7.105427357601002e-15,1e-12,true
 coherent-normalization,unit-weight-sum,6.428191312579656e-14,1e-12,true
 lowering-eigenstate,annihilation-eigenrelation,4.628570439118569e-16,1e-10,true
-identity-resolution,label-plane-completeness,6.994405055138486e-15,1e-07,true
-radial-closed-form,k-weighted-moments,3.579030076421233e-15,1e-09,true
-bessel-wronskian,cross-product-identity,6.8833827526759706e-15,1e-10,true
-half-order-bessel,elementary-closed-forms,7.916522747001144e-15,1e-12,true
+identity-resolution,label-plane-completeness,3.3306690738754696e-15,1e-07,true
+radial-closed-form,k-weighted-moments,2.9605947323337506e-16,1e-09,true
+bessel-wronskian,cross-product-identity,6.439293542825908e-15,1e-10,true
+half-order-bessel,elementary-closed-forms,7.513987692068883e-15,1e-12,true
 quadrature-exactness,polynomial-exactness,1.3877787807814457e-16,1e-12,true
-bessel-sum-identity,weight-series-resummation,2.2292326414890835e-15,1e-12,true
+bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
 # pass=true
 """,
     ('verify', '--A', '2', '--format', 'json'): """{
@@ -406,7 +406,7 @@ bessel-sum-identity,weight-series-resummation,2.2292326414890835e-15,1e-12,true
     {
       "name": "ode-residual",
       "identity": "secant-well-equation",
-      "residual": 5.692805081530733e-13,
+      "residual": 5.713734511977526e-13,
       "tol": 1e-09,
       "pass": true
     },
@@ -420,28 +420,28 @@ bessel-sum-identity,weight-series-resummation,2.2292326414890835e-15,1e-12,true
     {
       "name": "gram-identity",
       "identity": "basis-orthonormality",
-      "residual": 9.547918011776346e-15,
+      "residual": 3.3306690738754696e-15,
       "tol": 1e-10,
       "pass": true
     },
     {
       "name": "gram-order-doubling",
       "identity": "quadrature-convergence",
-      "residual": 7.771561172376096e-16,
+      "residual": 8.881784197001252e-16,
       "tol": 1e-12,
       "pass": true
     },
     {
       "name": "ladder-raising",
       "identity": "raising-eigenvalue",
-      "residual": 4.745977641914665e-15,
+      "residual": 4.7247902417275375e-15,
       "tol": 1e-09,
       "pass": true
     },
     {
       "name": "ladder-lowering",
       "identity": "lowering-eigenvalue",
-      "residual": 5.173390780383455e-15,
+      "residual": 3.6952791288453314e-15,
       "tol": 1e-09,
       "pass": true
     },
@@ -455,7 +455,7 @@ bessel-sum-identity,weight-series-resummation,2.2292326414890835e-15,1e-12,true
     {
       "name": "commutator",
       "identity": "ladder-commutator",
-      "residual": 6.054602940283372e-14,
+      "residual": 9.239143561501516e-14,
       "tol": 1e-09,
       "pass": true
     },
@@ -483,28 +483,28 @@ bessel-sum-identity,weight-series-resummation,2.2292326414890835e-15,1e-12,true
     {
       "name": "identity-resolution",
       "identity": "label-plane-completeness",
-      "residual": 6.994405055138486e-15,
+      "residual": 3.3306690738754696e-15,
       "tol": 1e-07,
       "pass": true
     },
     {
       "name": "radial-closed-form",
       "identity": "k-weighted-moments",
-      "residual": 3.579030076421233e-15,
+      "residual": 2.9605947323337506e-16,
       "tol": 1e-09,
       "pass": true
     },
     {
       "name": "bessel-wronskian",
       "identity": "cross-product-identity",
-      "residual": 6.8833827526759706e-15,
+      "residual": 6.439293542825908e-15,
       "tol": 1e-10,
       "pass": true
     },
     {
       "name": "half-order-bessel",
       "identity": "elementary-closed-forms",
-      "residual": 7.916522747001144e-15,
+      "residual": 7.513987692068883e-15,
       "tol": 1e-12,
       "pass": true
     },
@@ -518,7 +518,7 @@ bessel-sum-identity,weight-series-resummation,2.2292326414890835e-15,1e-12,true
     {
       "name": "bessel-sum-identity",
       "identity": "weight-series-resummation",
-      "residual": 2.2292326414890835e-15,
+      "residual": 2.563617537712441e-15,
       "tol": 1e-12,
       "pass": true
     }
@@ -536,23 +536,23 @@ bessel-sum-identity,weight-series-resummation,2.2292326414890835e-15,1e-12,true
 # quad_order=200
 # tol_override=None
 name,identity,residual,tol,pass
-ode-residual,secant-well-equation,3.4159244629897595e-14,1e-09,true
+ode-residual,secant-well-equation,3.848928972382842e-14,1e-09,true
 spectrum-square-law,unit-well-squared-integers,0.0,1e-14,true
-gram-identity,basis-orthonormality,9.547918011776346e-15,1e-10,true
-gram-order-doubling,quadrature-convergence,4.440892098500626e-16,1e-12,true
-ladder-raising,raising-eigenvalue,4.03009594938921e-15,1e-09,true
-ladder-lowering,lowering-eigenvalue,3.410512777770303e-15,1e-09,true
+gram-identity,basis-orthonormality,1.7763568394002505e-15,1e-10,true
+gram-order-doubling,quadrature-convergence,3.1061010133847717e-16,1e-12,true
+ladder-raising,raising-eigenvalue,2.423194831770022e-15,1e-09,true
+ladder-lowering,lowering-eigenvalue,2.0267969129628975e-15,1e-09,true
 ground-annihilation,lowering-kills-ground,0.0,1e-10,true
-commutator,ladder-commutator,2.0876262767299667e-14,1e-09,true
+commutator,ladder-commutator,2.589756750642814e-14,1e-09,true
 casimir-constancy,casimir-invariant,6.394884621840902e-14,1e-12,true
-coherent-normalization,unit-weight-sum,1.1102230246251565e-15,1e-12,true
+coherent-normalization,unit-weight-sum,6.661338147750939e-16,1e-12,true
 lowering-eigenstate,annihilation-eigenrelation,5.939536886830383e-16,1e-10,true
-identity-resolution,label-plane-completeness,4.440892098500626e-15,1e-07,true
-radial-closed-form,k-weighted-moments,3.964062380870307e-15,1e-09,true
-bessel-wronskian,cross-product-identity,6.8833827526759706e-15,1e-10,true
-half-order-bessel,elementary-closed-forms,7.916522747001144e-15,1e-12,true
+identity-resolution,label-plane-completeness,3.1086244689504383e-15,1e-07,true
+radial-closed-form,k-weighted-moments,1.922123396360909e-15,1e-09,true
+bessel-wronskian,cross-product-identity,6.439293542825908e-15,1e-10,true
+half-order-bessel,elementary-closed-forms,7.513987692068883e-15,1e-12,true
 quadrature-exactness,polynomial-exactness,1.3877787807814457e-16,1e-12,true
-bessel-sum-identity,weight-series-resummation,3.1485980865830303e-15,1e-12,true
+bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
 # pass=true
 """,
     ('verify', '--A', '3.7', '--nmax', '4', '--format', 'json'): """{
@@ -571,7 +571,7 @@ bessel-sum-identity,weight-series-resummation,3.1485980865830303e-15,1e-12,true
     {
       "name": "ode-residual",
       "identity": "secant-well-equation",
-      "residual": 3.4159244629897595e-14,
+      "residual": 3.848928972382842e-14,
       "tol": 1e-09,
       "pass": true
     },
@@ -585,28 +585,28 @@ bessel-sum-identity,weight-series-resummation,3.1485980865830303e-15,1e-12,true
     {
       "name": "gram-identity",
       "identity": "basis-orthonormality",
-      "residual": 9.547918011776346e-15,
+      "residual": 1.7763568394002505e-15,
       "tol": 1e-10,
       "pass": true
     },
     {
       "name": "gram-order-doubling",
       "identity": "quadrature-convergence",
-      "residual": 4.440892098500626e-16,
+      "residual": 3.1061010133847717e-16,
       "tol": 1e-12,
       "pass": true
     },
     {
       "name": "ladder-raising",
       "identity": "raising-eigenvalue",
-      "residual": 4.03009594938921e-15,
+      "residual": 2.423194831770022e-15,
       "tol": 1e-09,
       "pass": true
     },
     {
       "name": "ladder-lowering",
       "identity": "lowering-eigenvalue",
-      "residual": 3.410512777770303e-15,
+      "residual": 2.0267969129628975e-15,
       "tol": 1e-09,
       "pass": true
     },
@@ -620,7 +620,7 @@ bessel-sum-identity,weight-series-resummation,3.1485980865830303e-15,1e-12,true
     {
       "name": "commutator",
       "identity": "ladder-commutator",
-      "residual": 2.0876262767299667e-14,
+      "residual": 2.589756750642814e-14,
       "tol": 1e-09,
       "pass": true
     },
@@ -634,7 +634,7 @@ bessel-sum-identity,weight-series-resummation,3.1485980865830303e-15,1e-12,true
     {
       "name": "coherent-normalization",
       "identity": "unit-weight-sum",
-      "residual": 1.1102230246251565e-15,
+      "residual": 6.661338147750939e-16,
       "tol": 1e-12,
       "pass": true
     },
@@ -648,28 +648,28 @@ bessel-sum-identity,weight-series-resummation,3.1485980865830303e-15,1e-12,true
     {
       "name": "identity-resolution",
       "identity": "label-plane-completeness",
-      "residual": 4.440892098500626e-15,
+      "residual": 3.1086244689504383e-15,
       "tol": 1e-07,
       "pass": true
     },
     {
       "name": "radial-closed-form",
       "identity": "k-weighted-moments",
-      "residual": 3.964062380870307e-15,
+      "residual": 1.922123396360909e-15,
       "tol": 1e-09,
       "pass": true
     },
     {
       "name": "bessel-wronskian",
       "identity": "cross-product-identity",
-      "residual": 6.8833827526759706e-15,
+      "residual": 6.439293542825908e-15,
       "tol": 1e-10,
       "pass": true
     },
     {
       "name": "half-order-bessel",
       "identity": "elementary-closed-forms",
-      "residual": 7.916522747001144e-15,
+      "residual": 7.513987692068883e-15,
       "tol": 1e-12,
       "pass": true
     },
@@ -683,7 +683,7 @@ bessel-sum-identity,weight-series-resummation,3.1485980865830303e-15,1e-12,true
     {
       "name": "bessel-sum-identity",
       "identity": "weight-series-resummation",
-      "residual": 3.1485980865830303e-15,
+      "residual": 2.563617537712441e-15,
       "tol": 1e-12,
       "pass": true
     }

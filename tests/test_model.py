@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from fhpt.algebra import ladder_coefficients
+from fhpt.coherent import resolution_of_identity_check
 from fhpt.errors import DomainError
 from fhpt.model import (
     PotentialParams,
@@ -92,6 +94,19 @@ def test_momentum_level_domain():
         momentum_level(-1, p)
     with pytest.raises(DomainError):
         momentum_level(2.5, p)
+
+
+def test_level_index_rejects_bool():
+    # True is an int subclass; no level-taking function reads it as level 1
+    p = PotentialParams(A=2.0)
+    for call in (
+        lambda: momentum_level(True, p),
+        lambda: build_basis_state(True, p),
+        lambda: ladder_coefficients(True, p.L),
+        lambda: resolution_of_identity_check(True, True, p),
+    ):
+        with pytest.raises(DomainError, match="level index must be an integer"):
+            call()
 
 
 # state construction and evaluation
@@ -238,9 +253,16 @@ def test_half_interval_overlap_structure():
     # same parity stays orthonormal on the half interval, opposite parity does not
     rule = gauss_legendre(200)
     p = PotentialParams(A=2.0)
-    assert overlap(0, 0, p, rule, interval="half") == pytest.approx(1.0, abs=1e-11)
-    assert abs(overlap(0, 2, p, rule, interval="half")) < 1e-11
-    assert abs(overlap(0, 1, p, rule, interval="half")) > 1e-3
+    quarter = 0.25 * np.pi
+    tau = quarter + quarter * rule.nodes  # (0, pi/2)
+
+    def half_overlap(m, n):
+        vals = eval_state(build_basis_state(m, p, "half"), tau) * eval_state(build_basis_state(n, p, "half"), tau)
+        return float(quarter * np.dot(rule.weights, vals))
+
+    assert half_overlap(0, 0) == pytest.approx(1.0, abs=1e-11)
+    assert abs(half_overlap(0, 2)) < 1e-11
+    assert abs(half_overlap(0, 1)) > 1e-3
 
 
 # equation residual

@@ -15,48 +15,11 @@ from fhpt.special import (
     _bessel_k_array,
     bessel_i,
     bessel_k,
-    gamma_fn,
     gegenbauer_poly,
     gegenbauer_value,
-    log_gamma,
 )
 
 mpmath.mp.dps = 40
-
-
-# gamma
-
-def test_gamma_half_is_sqrt_pi():
-    assert gamma_fn(0.5) == pytest.approx(1.7724538509055160273, rel=1e-15)
-
-
-def test_gamma_small_integers():
-    for k, fact in ((1, 1.0), (2, 1.0), (3, 2.0), (4, 6.0), (6, 120.0), (11, 3628800.0)):
-        assert gamma_fn(float(k)) == pytest.approx(fact, rel=1e-14)
-
-
-def test_gamma_recurrence():
-    for x in (0.1, 0.37, 1.2, 4.8, 9.9, 23.4):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-13)
-
-
-def test_gamma_large_arguments_up_to_overflow():
-    # the Lanczos power t^(x - 1/2) alone overflows from x = 142.5 on
-    for x in (142.5, 150.0, 171.5):
-        assert gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-13)
-    with pytest.raises(OverflowError):
-        gamma_fn(172.0)
-
-
-def test_gamma_rejects_nonpositive():
-    for x in (0.0, -1.0, -0.5):
-        with pytest.raises(DomainError):
-            gamma_fn(x)
-
-
-def test_log_gamma_matches_stdlib():
-    for x in (0.05, 0.5, 1.0, 2.5, 17.2, 143.0, 901.5):
-        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-14, abs=1e-13)
 
 
 # Gegenbauer polynomials
@@ -117,7 +80,7 @@ def test_gegenbauer_derivative_shifts_order_and_weight():
 def test_gegenbauer_endpoint_is_rising_factorial_ratio():
     # C_n(1) = (2 lam)_n / n!
     for n, lam in ((3, 1.5), (8, 0.9), (15, 2.2)):
-        expect = math.exp(log_gamma(2 * lam + n) - log_gamma(2 * lam) - log_gamma(n + 1.0))
+        expect = math.exp(math.lgamma(2 * lam + n) - math.lgamma(2 * lam) - math.lgamma(n + 1.0))
         assert gegenbauer_value(n, lam, 1.0) == pytest.approx(expect, rel=1e-12)
 
 
@@ -137,7 +100,7 @@ def test_legendre_integer_vs_scipy():
     # with the Condon-Shortley phase that scipy's lpmv uses
     y = np.linspace(-0.95, 0.95, 21)
     for L in (0, 1, 2, 3):
-        double_fact = math.exp(log_gamma(2.0 * L + 1.0) - log_gamma(L + 1.0) - L * math.log(2.0))
+        double_fact = math.exp(math.lgamma(2.0 * L + 1.0) - math.lgamma(L + 1.0) - L * math.log(2.0))
         for n in range(9):
             ours = (-1.0) ** L * double_fact * (1.0 - y * y) ** (L / 2.0) * gegenbauer_value(n, L + 0.5, y)
             ref = sps.lpmv(L, n + L, y)
