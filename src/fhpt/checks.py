@@ -127,9 +127,8 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
 
     # orthonormality of the basis under the t measure
     rule = gauss_legendre(config.quad_order)
-    rule2 = gauss_legendre(2 * config.quad_order)
-    gram = np.array([[overlap(i, j, params, rule) for j in levels] for i in levels])
-    gram2 = np.array([[overlap(i, j, params, rule2) for j in levels] for i in levels])
+    gram = overlap(levels, levels, params, rule)
+    gram2 = overlap(levels, levels, params, gauss_legendre(2 * config.quad_order))
     checks.append(_result("gram-identity", "basis-orthonormality", np.max(np.abs(gram - np.eye(len(levels)))), 1e-10, ov))
     checks.append(_result("gram-order-doubling", "quadrature-convergence", np.max(np.abs(gram - gram2)), 1e-12, ov))
 

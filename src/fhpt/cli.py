@@ -138,17 +138,14 @@ def _cmd_coherent(args: argparse.Namespace) -> int:
     params = _params(args)
     z = parse_z(args.z)
     cs = build_coherent_state(z, params, tail_tol=args.tail_tol)
-    rows = [
-        [n, float(abs(c) ** 2), float(np.angle(c))]
-        for n, c in enumerate(cs.coeffs)
-    ]
     weights = np.abs(cs.coeffs) ** 2
+    rows = [[n, float(w), float(np.angle(c))] for n, (w, c) in enumerate(zip(weights, cs.coeffs))]
     mean_level = float(np.dot(weights, np.arange(len(weights))))
     config = _config(args, z_re=z.real, z_im=z.imag, tail_tol=args.tail_tol)
     summary = {
         "truncation_level": cs.truncation_level,
         "tail_bound": cs.tail_bound,
-        "weight_sum": cs.norm_sq,
+        "weight_sum": float(np.sum(weights)),
         "mean_level": mean_level,
         "mean_gamma0": mean_level + params.L + 0.5,
         "lowering_residual": lowering_eigenstate_residual(cs),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _check_int
-from .quadrature import QuadratureRule, gauss_legendre
+from .quadrature import QuadratureRule
 from .special import gegenbauer_value
 
 __all__ = [
@@ -200,15 +200,19 @@ def residual_ode(n: int, params: PotentialParams, momentum: float | None = None)
     return float(np.max(np.abs(res)) / np.max(np.abs(psi)))
 
 
-def overlap(m: int, n: int, params: PotentialParams, rule: QuadratureRule | None = None) -> float:
-    """Inner product of levels m and n in the t measure over tau in (-pi/2, pi/2).
+def overlap(m, n, params: PotentialParams, rule: QuadratureRule) -> float | np.ndarray:
+    """Inner products of levels m and n in the t measure over tau in (-pi/2, pi/2).
 
-    The basis is orthonormal under this product.
+    m and n are each a level or a sequence of levels: two levels give a float, anything else
+    the len(m) x len(n) block.  Each distinct level is evaluated once.  The basis is orthonormal.
     """
-    if rule is None:
-        rule = gauss_legendre(200)
+    rows = [m] if np.ndim(m) == 0 else list(m)
+    cols = [n] if np.ndim(n) == 0 else list(n)
+    for k in rows + cols:  # before set() merges True into 1 and 2.0 into 2
+        _check_int("level index", k, 0, _MAX_LEVEL)
     half = 0.5 * np.pi
     tau = half * rule.nodes
-    vals = eval_state(build_basis_state(m, params), tau) * eval_state(build_basis_state(n, params), tau)
+    psi = {k: eval_state(build_basis_state(k, params), tau) for k in set(rows + cols)}
     # dt = dtau / c1
-    return float(half * np.dot(rule.weights, vals) / params.c1)
+    block = np.array([[half * np.dot(rule.weights, psi[i] * psi[j]) / params.c1 for j in cols] for i in rows])
+    return float(block[0, 0]) if np.ndim(m) == np.ndim(n) == 0 else block.reshape(len(rows), len(cols))

@@ -3,12 +3,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from fhpt import model
 from fhpt.algebra import commutator_residual
 from fhpt.checks import CheckConfig, run_checks
 from fhpt.errors import DomainError
-from fhpt.model import PotentialParams, residual_ode
+from fhpt.model import PotentialParams, overlap, residual_ode
+from fhpt.quadrature import gauss_legendre
 
 EXPECTED_CHECKS = {
     "ode-residual",
@@ -74,6 +77,17 @@ def test_level_checks_cover_every_level_up_to_nmax():
     p = PotentialParams(A=2.0)
     assert got["ode-residual"] == max(residual_ode(n, p) for n in range(31))
     assert got["commutator"] == max(commutator_residual(n, p) for n in range(31))
+    gram = overlap(range(31), range(31), p, gauss_legendre(200))
+    assert got["gram-identity"] == np.max(np.abs(gram - np.eye(31)))
+
+
+def test_gram_checks_build_each_level_once_per_rule(monkeypatch):
+    # each Gram rule builds one state per level, not two per pair
+    built = []
+    original = model.BasisState
+    monkeypatch.setattr(model, "BasisState", lambda *fields: built.append(fields[0]) or original(*fields))
+    run_checks(CheckConfig(nmax=30))
+    assert len(built) <= 310
 
 
 @pytest.mark.parametrize("nmax", [-1, 100, 1000, True, 2.0, "3"])

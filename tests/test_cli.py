@@ -870,6 +870,15 @@ def test_coherent_weights_at_large_well_strength(z):
     assert np.max(np.abs(rows[:, 1] - ref)) <= 1e-12 * np.max(ref)
 
 
+@pytest.mark.parametrize("z", ["1.7@-2.9", "12@1.1"])
+def test_coherent_summary_follows_from_printed_weights(z, capsys):
+    assert main(["coherent", "--z", z, "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    w = np.array([row[1] for row in out["rows"]])
+    assert float(np.sum(w)) == out["summary"]["weight_sum"]
+    assert float(np.dot(w, np.arange(len(w)))) == out["summary"]["mean_level"]
+
+
 def test_expect_at_large_well_strength():
     res = run_cli("expect", "--A", "100", "--z", "0.5", "--format", "json")
     assert res.returncode == 0, res.stderr

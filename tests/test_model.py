@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from fhpt import model
 from fhpt.algebra import ladder_coefficients
 from fhpt.coherent import resolution_of_identity_check
 from fhpt.errors import DomainError
@@ -247,6 +248,52 @@ def test_gram_independent_of_c1():
     p = PotentialParams(A=2.0, c1=2.7)
     assert overlap(4, 4, p, rule) == pytest.approx(1.0, abs=1e-12)
     assert abs(overlap(3, 4, p, rule)) < 1e-12
+
+
+@pytest.mark.parametrize("order", [200, 400])
+@pytest.mark.parametrize("A", [0.65, 2.0, 3.7])
+def test_overlap_block_equals_scalar_pairs(A, order):
+    # A = 0.65 lies in the Gram-fault band; the block reproduces it bit for bit
+    rule = gauss_legendre(order)
+    p = PotentialParams(A=A)
+    block = overlap(range(12), range(12), p, rule)
+    assert block.shape == (12, 12)
+    for i in range(12):
+        for j in range(12):
+            assert block[i, j] == overlap(i, j, p, rule)
+
+
+def test_overlap_shapes():
+    rule = gauss_legendre(80)
+    p = PotentialParams(A=2.0)
+    assert type(overlap(2, 3, p, rule)) is float
+    row = overlap(2, range(5), p, rule)
+    assert row.shape == (1, 5)
+    assert row[0, 3] == overlap(2, 3, p, rule)
+    assert overlap([0, 1, 2], 4, p, rule).shape == (3, 1)
+
+
+def test_overlap_block_evaluates_each_level_once(monkeypatch):
+    seen = []
+    original = model.eval_state
+    monkeypatch.setattr(model, "eval_state", lambda st, tau: seen.append(st.n) or original(st, tau))
+    overlap(range(7), range(7), PotentialParams(A=2.0), gauss_legendre(80))
+    assert sorted(seen) == list(range(7))
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, -1])
+def test_overlap_block_rejects_non_levels(bad):
+    # True equals level 1 and 2.0 equals level 2, which the sequences also hold
+    with pytest.raises(DomainError):
+        overlap([0, 1, 2, bad], range(3), PotentialParams(A=2.0), gauss_legendre(40))
+
+
+def test_hundred_level_block_is_orthonormal():
+    p = PotentialParams(A=2.0)
+    levels = range(100)
+    gram = overlap(levels, levels, p, gauss_legendre(200))
+    assert np.max(np.abs(gram - np.eye(100))) < 1e-10
+    assert np.max(np.abs(gram - overlap(levels, levels, p, gauss_legendre(400)))) < 1e-12
 
 
 def test_half_interval_overlap_structure():
