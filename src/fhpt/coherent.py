@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, _check_int
 from .model import PotentialParams
-from .quadrature import QuadratureRule, default_r_max, integrate_semi_infinite_k_weight
+from .quadrature import QuadratureRule, integrate_semi_infinite_k_weight
 from .special import _bessel_i_series, bessel_i
 
 __all__ = [
@@ -149,8 +149,8 @@ def resolution_of_identity_check(
     n: int,
     n_prime: int,
     params: PotentialParams,
-    rule: QuadratureRule | None = None,
-    r_max: float | None = None,
+    rule: QuadratureRule,
+    r_max: float,
 ) -> float:
     """Matrix element (n_prime, n) of the completeness integral over labels z.
 
@@ -165,8 +165,6 @@ def resolution_of_identity_check(
         return 0.0
     L = params.L
     degree = 2.0 * n + 2.0 * L + 1.0
-    if r_max is None:
-        r_max = default_r_max(degree)
     value = integrate_semi_infinite_k_weight(
         lambda rr: rr**degree, 2.0 * L, r_max=r_max, rule=rule
     )

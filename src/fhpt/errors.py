@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["ConvergenceError", "DomainError", "IntegrationError"]
+
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""

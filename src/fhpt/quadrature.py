@@ -109,8 +109,8 @@ def _point(g: Callable, nu: float, r: float) -> float:
 def integrate_semi_infinite_k_weight(
     g: Callable,
     nu: float,
-    r_max: float | None = None,
-    rule: QuadratureRule | None = None,
+    r_max: float,
+    rule: QuadratureRule,
 ) -> float:
     """Integral of g(r) * K_nu(2 r) over (0, infinity), truncated at r_max.
 
@@ -124,10 +124,6 @@ def integrate_semi_infinite_k_weight(
     the result raises TruncationWarning.
     """
     nu = abs(nu)
-    if rule is None:
-        rule = gauss_legendre(200)
-    if r_max is None:
-        r_max = default_r_max(0.0)
     floor = 1e-240
     if nu > 0.0:
         floor = max(floor, math.exp(-(700.0 - math.lgamma(nu)) / nu))

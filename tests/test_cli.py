@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, ive, logsumexp
 
+from fhpt import cli
 from fhpt.cli import main, parse_z
 from fhpt.model import PotentialParams
 
@@ -816,6 +817,21 @@ def test_exit_two_on_usage_error():
     assert run_cli("nonsense").returncode == 2
     assert run_cli("wavefunction", "--interval", "bogus").returncode == 2
     assert run_cli("coherent", "--z", "abc").returncode == 2
+
+
+def test_one_parser_serves_every_request_in_a_process(capsys):
+    # the argparse tree is built once and reused; a usage error leaves it intact
+    assert main(["nonsense"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage: fhpt" in captured.err
+    assert main(["spectrum", "--A", "1", "--nmax", "3"]) == 0
+    assert capsys.readouterr().out == GOLDEN_SPECTRUM
+    assert main(["wavefunction", "--interval", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'bogus'" in captured.err
+    assert cli._build_parser() is cli._build_parser()
+
+
 
 
 def test_main_callable_directly(capsys):

@@ -17,7 +17,7 @@ from fhpt.coherent import (
 )
 from fhpt.errors import DomainError
 from fhpt.model import PotentialParams
-from fhpt.quadrature import gauss_legendre
+from fhpt.quadrature import default_r_max, gauss_legendre
 
 mpmath.mp.dps = 50
 
@@ -143,22 +143,27 @@ def test_radial_moment_closed_form_guard():
         radial_weight_moment(1.0, 2.5)
 
 
+def _level_r_max(n, p):
+    return default_r_max(2.0 * n + 2.0 * p.L + 1.0)
+
+
 @pytest.mark.parametrize("A", (1.5, 2.0, 3.7))
 def test_resolution_diagonal_is_unity(A):
     p = PotentialParams(A=A)
     rule = gauss_legendre(200)
     for n in range(11):
-        v = resolution_of_identity_check(n, n, p, rule=rule)
+        v = resolution_of_identity_check(n, n, p, rule=rule, r_max=_level_r_max(n, p))
         assert abs(v - 1.0) < 1e-7
 
 
 def test_resolution_off_diagonal_vanishes():
     p = PotentialParams(A=2.0)
-    assert resolution_of_identity_check(2, 5, p) == 0.0
-    assert resolution_of_identity_check(5, 2, p) == 0.0
+    rule = gauss_legendre(200)
+    assert resolution_of_identity_check(2, 5, p, rule=rule, r_max=_level_r_max(2, p)) == 0.0
+    assert resolution_of_identity_check(5, 2, p, rule=rule, r_max=_level_r_max(5, p)) == 0.0
 
 
 def test_resolution_rejects_bad_levels():
     p = PotentialParams(A=2.0)
     with pytest.raises(DomainError):
-        resolution_of_identity_check(-1, 0, p)
+        resolution_of_identity_check(-1, 0, p, rule=gauss_legendre(200), r_max=_level_r_max(-1, p))

@@ -20,7 +20,7 @@ from fhpt.model import (
     overlap,
     residual_ode,
 )
-from fhpt.quadrature import gauss_legendre
+from fhpt.quadrature import default_r_max, gauss_legendre
 
 A_GRID = (1.0, 1.5, 2.0, 3.7)
 
@@ -100,11 +100,12 @@ def test_momentum_level_domain():
 def test_level_index_rejects_bool():
     # True is an int subclass; no level-taking function reads it as level 1
     p = PotentialParams(A=2.0)
+    rule, r_max = gauss_legendre(200), default_r_max(2.0 * 1 + 2.0 * p.L + 1.0)
     for call in (
         lambda: momentum_level(True, p),
         lambda: build_basis_state(True, p),
         lambda: ladder_coefficients(True, p.L),
-        lambda: resolution_of_identity_check(True, True, p),
+        lambda: resolution_of_identity_check(True, True, p, rule, r_max),
     ):
         with pytest.raises(DomainError, match="level index must be an integer"):
             call()
@@ -132,6 +133,29 @@ def test_eval_state_domain_and_shapes():
         eval_state(st, 0.5 * np.pi)
     with pytest.raises(DomainError):
         eval_state(st, np.array([0.0, 1.6]))
+
+
+def test_eval_state_on_empty_and_zero_dim_arrays():
+    st = build_basis_state(3, PotentialParams(A=2.0))
+    empty = eval_state(st, np.array([]))
+    assert empty.shape == (0,)
+    zero_dim = eval_state(st, np.array(0.3))
+    assert np.ndim(zero_dim) == 0
+    assert zero_dim == eval_state(st, 0.3)
+
+
+def test_numpy_integer_levels_match_python_ints():
+    p = PotentialParams(A=2.0)
+    st = build_basis_state(np.int64(3), p)
+    assert type(st.n) is int
+    assert vars(st) == vars(build_basis_state(3, p))
+    rule = gauss_legendre(80)
+    assert type(overlap(np.int64(2), np.int64(3), p, rule)) is float
+    assert overlap(np.int64(2), np.int64(3), p, rule) == overlap(2, 3, p, rule)
+    levels = np.arange(5, dtype=np.int64)
+    assert np.array_equal(overlap(levels, levels, p, rule), overlap(range(5), range(5), p, rule))
+
+
 
 
 def test_state_parity():

@@ -83,7 +83,7 @@ def _closed_moment(mu, nu):
 )
 def test_k_weighted_moments_match_closed_form(mu, nu):
     got = integrate_semi_infinite_k_weight(
-        lambda r: r**mu, nu, r_max=default_r_max(mu)
+        lambda r: r**mu, nu, r_max=default_r_max(mu), rule=gauss_legendre(200)
     )
     exact = _closed_moment(mu, nu)
     assert got == pytest.approx(exact, rel=1e-11)
@@ -99,24 +99,26 @@ def test_k_weighted_lower_tail_closed_form(mu, nu):
     exact = mpmath.gamma((1.0 + mu + nu) / 2.0) * mpmath.gamma((1.0 + mu - nu) / 2.0) / 4.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
-        got = integrate_semi_infinite_k_weight(lambda r: r**mu, nu, r_max=default_r_max(mu))
+        got = integrate_semi_infinite_k_weight(
+            lambda r: r**mu, nu, r_max=default_r_max(mu), rule=gauss_legendre(200)
+        )
     assert got == pytest.approx(float(exact), rel=1e-9)
 
 
 def test_k_weighted_warns_on_tight_cutoff():
     with pytest.warns(TruncationWarning):
-        integrate_semi_infinite_k_weight(lambda r: r**8.0, 0.5, r_max=3.0)
+        integrate_semi_infinite_k_weight(lambda r: r**8.0, 0.5, r_max=3.0, rule=gauss_legendre(200))
 
 
 def test_k_weighted_warns_near_divergence():
     # r^0.2 K_1.5(2 r) ~ r^-1.3 toward 0: the integral diverges
     with pytest.warns(TruncationWarning, match="diverge"):
-        integrate_semi_infinite_k_weight(lambda r: r**0.2, 1.5, r_max=30.0)
+        integrate_semi_infinite_k_weight(lambda r: r**0.2, 1.5, r_max=30.0, rule=gauss_legendre(200))
 
 
 def test_k_weighted_rejects_bad_scale():
     with pytest.raises(DomainError):
-        integrate_semi_infinite_k_weight(lambda r: r, 1.0, r_max=1e-7)
+        integrate_semi_infinite_k_weight(lambda r: r, 1.0, r_max=1e-7, rule=gauss_legendre(200))
 
 
 def test_k_weighted_rejects_non_finite_integrand():
