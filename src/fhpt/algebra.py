@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _check_int
-from .model import BasisState, PotentialParams, _poly_derivatives, build_basis_state, eval_state
+from .model import PotentialParams, _grid_rows, _one_or_rows, _poly_derivatives
 
 __all__ = [
     "LadderCoefficients",
@@ -57,72 +57,68 @@ def ladder_coefficients(n: int, L: float) -> LadderCoefficients:
     )
 
 
-def _raise_pref(k: int, L: float) -> float:
-    return math.sqrt((2.0 * k + 2.0 * L + 3.0) / (2.0 * k + 2.0 * L + 1.0))
+def _raise_pref(k, L: float):
+    return np.sqrt((2.0 * k + 2.0 * L + 3.0) / (2.0 * k + 2.0 * L + 1.0))
 
 
-def _lower_pref(k: int, L: float) -> float:
-    return math.sqrt((2.0 * k + 2.0 * L - 1.0) / (2.0 * k + 2.0 * L + 1.0))
+def _lower_pref(k, L: float):
+    return np.sqrt((2.0 * k + 2.0 * L - 1.0) / (2.0 * k + 2.0 * L + 1.0))
 
 
-def _envelope_image(state: BasisState, bracket):
-    # image(y) = (1 - y^2)^(lam/2) * bracket(y, u, u') with u = scale * C_n^lam
-    def image(y) -> np.ndarray | float:
-        yv = np.asarray(y, dtype=float)
-        u, du, _ = _poly_derivatives(state, yv)
-        vals = (1.0 - yv * yv) ** (0.5 * state.lam) * bracket(yv, u, du)
-        if np.isscalar(y):
-            return float(vals)
-        return vals
+def _ladder_image(states, y, rows, raising: bool) -> np.ndarray | float:
+    # (1 - y^2)^(lam/2) times the raising or lowering bracket in y, u = scale * C_k^lam and u', one row per
+    # state of level k; rows holds u and u' when the caller already has them
+    sts = [states] if np.ndim(states) == 0 else list(states)
+    yv = np.asarray(y, dtype=float)
+    if rows is None:
+        scale, raw = _poly_derivatives(sts, yv, 1)
+        rows = [scale * r for r in raw]
+    u, du = rows
+    k = np.array([s.n for s in sts]).reshape((-1,) + (1,) * yv.ndim)
+    L, lam, w = sts[0].L, sts[0].lam, 1.0 - yv * yv
+    if raising:
+        bracket = _raise_pref(k, L) * ((k + 2.0 * lam) * yv * u - w * du)
+    else:  # the ground rows are exact zeros, and their prefactor is never formed
+        bracket = np.where(k > 0, _lower_pref(np.maximum(k, 1), L) * (k * yv * u + w * du), 0.0)
+    return _one_or_rows(states, w ** (0.5 * lam) * bracket, y)
 
-    return image
+
+def apply_raising(states):
+    """Image of the raising map on a basis state (a row per state of a sequence), as a function of y = sin(tau)."""
+    return lambda y, rows=None: _ladder_image(states, y, rows, True)
 
 
-def apply_raising(state: BasisState):
-    """Image of the raising map on a basis state, as a function of y = sin(tau)."""
-    k, lam, pref = state.n, state.lam, _raise_pref(state.n, state.L)
-    return _envelope_image(state, lambda y, u, du: pref * ((k + 2.0 * lam) * y * u - (1.0 - y * y) * du))
-
-
-def apply_lowering(state: BasisState):
+def apply_lowering(states):
     """Image of the lowering map; the ground level is annihilated exactly."""
-    k = state.n
-    if k == 0:
-        return _envelope_image(state, lambda y, u, du: np.zeros_like(y))
-    pref = _lower_pref(k, state.L)
-    return _envelope_image(state, lambda y, u, du: pref * (k * y * u + (1.0 - y * y) * du))
+    return lambda y, rows=None: _ladder_image(states, y, rows, False)
 
 
-def commutator_residual(n: int, params: PotentialParams) -> float:
+def commutator_residual(n, params: PotentialParams) -> float | np.ndarray:
     """Pointwise residual of [lower, raise] = 2 gamma0 on level n.
 
     The two operator chains are composed pointwise: the first map's image and
     its y-derivative come from the product rule on u, u', u'', and the second
     map acts on them with the level-shifted prefactor.  The result is compared
     to 2 (n + L + 1/2) psi_n on a tau grid; returns the max deviation scaled by
-    max |psi_n|.
+    max |psi_n|, or one such residual per level for a sequence of levels.
     """
-    grid = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, 201)
-    state = build_basis_state(n, params)
-    L, lam = state.L, state.lam
-    y = np.sin(grid)
+    k, y, cq, psi, u, du, d2u = _grid_rows(n, params, 201)
+    L, lam = params.L, params.L + 0.5
     w = 1.0 - y * y
-    u, du, d2u = _poly_derivatives(state, y)
 
-    a = n + 2.0 * lam
-    up = _raise_pref(n, L) * (a * y * u - w * du)
-    d_up = _raise_pref(n, L) * (a * u + (a + 2.0) * y * du - w * d2u)
-    up_down = _lower_pref(n + 1, L) * ((n + 1) * y * up + w * d_up)
+    a = k + 2.0 * lam
+    up = _raise_pref(k, L) * (a * y * u - w * du)
+    d_up = _raise_pref(k, L) * (a * u + (a + 2.0) * y * du - w * d2u)
+    up_down = _lower_pref(k + 1, L) * ((k + 1) * y * up + w * d_up)
 
-    down_up = np.zeros_like(y)
-    if n > 0:
-        down = _lower_pref(n, L) * (n * y * u + w * du)
-        d_down = _lower_pref(n, L) * (n * u + (n - 2.0) * y * du + w * d2u)
-        down_up = _raise_pref(n - 1, L) * ((a - 1.0) * y * down - w * d_down)
+    # lower first; zero on the ground level, whose prefactors are never formed
+    k1 = np.maximum(k, 1)
+    down = _lower_pref(k1, L) * (k * y * u + w * du)
+    d_down = _lower_pref(k1, L) * (k * u + (k - 2.0) * y * du + w * d2u)
+    down_up = np.where(k > 0, _raise_pref(k1 - 1, L) * ((a - 1.0) * y * down - w * d_down), 0.0)
 
-    resid = np.cos(grid) ** lam * (up_down - down_up - 2.0 * (n + L + 0.5) * u)
-    psi = eval_state(state, grid)
-    return float(np.max(np.abs(resid)) / np.max(np.abs(psi)))
+    resid = cq**lam * (up_down - down_up - 2.0 * (k + L + 0.5) * u)
+    return _one_or_rows(n, np.max(np.abs(resid), axis=1) / np.max(np.abs(psi), axis=1))
 
 
 def casimir_eigenvalue(n: int, params: PotentialParams) -> float:

@@ -25,7 +25,7 @@ from .coherent import (
     resolution_of_identity_check,
 )
 from .errors import DomainError, _check_int
-from .model import _MAX_LEVEL, PotentialParams, build_basis_state, eval_state, momentum_level, overlap, residual_ode
+from .model import _MAX_LEVEL, PotentialParams, _grid_rows, build_basis_state, momentum_level, overlap, residual_ode
 from .quadrature import _MAX_ORDER, default_r_max, gauss_legendre, integrate_semi_infinite_k_weight
 from .special import bessel_i, bessel_k
 
@@ -102,9 +102,6 @@ def _result(name: str, identity: str, residual: float, tol: float, override: flo
     return CheckResult(name, identity, float(residual), float(tol), bool(residual < tol))
 
 
-_TAU_GRID = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, 101)
-
-
 def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     if config is None:
         config = CheckConfig()
@@ -113,9 +110,9 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     L = params.L
     checks: list[CheckResult] = []
 
-    # master equation residual, level by level
+    # master equation residual over every level
     levels = range(config.nmax + 1)
-    r = max(residual_ode(n, params) for n in levels)
+    r = residual_ode(levels, params).max()
     checks.append(_result("ode-residual", "secant-well-equation", r, 1e-9, ov))
 
     # squared-integer spectrum at unit well strength in natural units
@@ -132,27 +129,21 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     checks.append(_result("gram-identity", "basis-orthonormality", np.max(np.abs(gram - np.eye(len(levels)))), 1e-10, ov))
     checks.append(_result("gram-order-doubling", "quadrature-convergence", np.max(np.abs(gram - gram2)), 1e-12, ov))
 
-    # ladder maps against their eigenvalue relations
-    y = np.sin(_TAU_GRID)
-    worst_up = 0.0
-    worst_dn = 0.0
-    for n in levels:
-        st = build_basis_state(n, params)
-        lc = ladder_coefficients(n, L)
-        up = apply_raising(st)(y)
-        target = lc.raise_eig * eval_state(build_basis_state(n + 1, params), _TAU_GRID)
-        worst_up = max(worst_up, np.max(np.abs(up - target)) / np.max(np.abs(target)))
-        if n >= 1:
-            dn = apply_lowering(st)(y)
-            target = lc.lower_eig * eval_state(build_basis_state(n - 1, params), _TAU_GRID)
-            worst_dn = max(worst_dn, np.max(np.abs(dn - target)) / np.max(np.abs(target)))
+    # ladder maps against their eigenvalue relations, from one set of rows of
+    # levels 0..nmax+1; row 0 of the lowering images is the ground level's
+    _, y, _, psi, u, du, _ = _grid_rows(range(config.nmax + 2), params, 101)
+    states = [build_basis_state(n, params) for n in levels]
+    up = apply_raising(states)(y, (u[:-1], du[:-1]))
+    dn = apply_lowering(states)(y, (u[:-1], du[:-1]))
+    target_up = np.array([ladder_coefficients(n, L).raise_eig for n in levels])[:, None] * psi[1:]
+    target_dn = np.array([ladder_coefficients(n, L).lower_eig for n in levels[1:]])[:, None] * psi[:-2]
+    worst_up = (np.max(np.abs(up - target_up), axis=1) / np.max(np.abs(target_up), axis=1)).max(initial=0.0)
+    worst_dn = (np.max(np.abs(dn[1:] - target_dn), axis=1) / np.max(np.abs(target_dn), axis=1)).max(initial=0.0)
     checks.append(_result("ladder-raising", "raising-eigenvalue", worst_up, 1e-9, ov))
     checks.append(_result("ladder-lowering", "lowering-eigenvalue", worst_dn, 1e-9, ov))
+    checks.append(_result("ground-annihilation", "lowering-kills-ground", np.max(np.abs(dn[0])), 1e-10, ov))
 
-    ground = apply_lowering(build_basis_state(0, params))(y)
-    checks.append(_result("ground-annihilation", "lowering-kills-ground", np.max(np.abs(ground)), 1e-10, ov))
-
-    r = max(commutator_residual(n, params) for n in levels)
+    r = commutator_residual(levels, params).max()
     checks.append(_result("commutator", "ladder-commutator", r, 1e-9, ov))
 
     cas = L * L - 0.25

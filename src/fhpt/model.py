@@ -85,7 +85,8 @@ def derive_a_prime(params: PotentialParams) -> float:
     The envelope power lam = a_prime / 2 balances the sec^2 singularity, so
     it solves lam (lam - 1) = A (A - 1) / (c1^2 M); this returns twice the
     regular root (a_prime >= 2 whenever A (A - 1) >= 0).  Requires
-    A (A - 1) >= -c1^2 M / 4, the borderline of a real exponent.
+    A (A - 1) >= -c1^2 M / 4, the borderline of a real exponent, and
+    4 A (A - 1) / (c1^2 M) below the largest double, so that a_prime is finite.
     """
     scale = params.c1**2 * params.mass_scale
     radicand = 1.0 + 4.0 * params.A * (params.A - 1.0) / scale
@@ -94,6 +95,9 @@ def derive_a_prime(params: PotentialParams) -> float:
             f"well strength A={params.A!r} is below the admissible branch: "
             f"A (A - 1) must be >= {-scale / 4.0!r}"
         )
+    if radicand == math.inf:
+        bound = "4 A (A - 1) / (c1^2 M) must be < 1.8e308"
+        raise DomainError(f"well strength A={params.A!r} gives a non-finite a_prime: {bound}")
     return 1.0 + math.sqrt(radicand)
 
 
@@ -147,57 +151,63 @@ def build_basis_state(n: int, params: PotentialParams, interval: str = "full") -
     return BasisState(int(n), L, lam, norm, sign * norm * conv)
 
 
-def eval_state(state: BasisState, tau) -> np.ndarray | float:
-    """Wavefunction values at tau (scalar or array), tau strictly inside (-pi/2, pi/2)."""
+def _poly_derivatives(states: list[BasisState], y, order: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    # the column of state scales, and C_n^lam(y) with its first `order` y-derivatives, one row per state
+    # of one well.  Each derivative shifts (n, lam) -> (n-1, lam+1) (DLMF 18.9.19) and is one recurrence
+    # over every state; a negative degree evaluates to exact zeros
+    lam = states[0].lam
+    if any(s.lam != lam for s in states):
+        raise DomainError("states must belong to one well")
+    ns = np.array([s.n for s in states], dtype=int)
+    scale = np.array([s.scale for s in states]).reshape((-1,) + (1,) * np.ndim(y))
+    coefs = (1.0, 2.0 * lam, 4.0 * lam * (lam + 1.0))
+    return scale, [coefs[j] * gegenbauer_value(ns - j, lam + j, y) for j in range(order + 1)]
+
+
+def _one_or_rows(key, rows: np.ndarray, x=0.0):
+    # the rows for a sequence key; for one state or level its row, a float at a scalar point x
+    return rows if np.ndim(key) else float(rows[0]) if np.isscalar(x) else rows[0]
+
+
+def eval_state(states, tau) -> np.ndarray | float:
+    """Wavefunction values at tau strictly inside (-pi/2, pi/2); a sequence of states of one well gives a row each."""
     t = np.asarray(tau, dtype=float)
     if np.any(np.abs(t) >= 0.5 * np.pi):
         raise DomainError("tau must lie strictly inside (-pi/2, pi/2)")
-    y = np.sin(t)
-    vals = state.scale * np.cos(t) ** state.lam * gegenbauer_value(state.n, state.lam, y)
-    if np.isscalar(tau):
-        return float(vals)
-    return vals
+    sts = [states] if np.ndim(states) == 0 else list(states)
+    scale, (c,) = _poly_derivatives(sts, np.sin(t), 0)
+    return _one_or_rows(states, scale * np.cos(t) ** sts[0].lam * c, tau)
 
 
-def _poly_derivatives(state: BasisState, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # scale * C_n^lam(y) and its first two y-derivatives; each derivative
-    # shifts (n, lam) -> (n-1, lam+1) (DLMF 18.9.19), and a negative degree
-    # evaluates to exact zeros
-    n, lam = state.n, state.lam
-    u = gegenbauer_value(n, lam, y)
-    du = 2.0 * lam * gegenbauer_value(n - 1, lam + 1.0, y)
-    d2u = 4.0 * lam * (lam + 1.0) * gegenbauer_value(n - 2, lam + 2.0, y)
-    return state.scale * u, state.scale * du, state.scale * d2u
+def _grid_rows(n, params: PotentialParams, points: int):
+    # level(s) n on `points` tau points 0.05 inside the interval ends: the levels as a column, y = sin(tau),
+    # cos(tau), psi, and scale * C_n^lam(y) with its first two y-derivatives, one row per level
+    tau = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, points)
+    levels = [n] if np.ndim(n) == 0 else list(n)
+    y, cq = np.sin(tau), np.cos(tau)
+    scale, (c, dc, d2c) = _poly_derivatives([build_basis_state(k, params) for k in levels], y, 2)
+    psi = scale * cq ** (params.L + 0.5) * c
+    return np.array(levels)[:, None], y, cq, psi, scale * c, scale * dc, scale * d2c
 
 
-def _second_derivative(state: BasisState, tau: np.ndarray) -> np.ndarray:
-    # psi'' in tau via the chain rule on the envelope-times-polynomial form
-    lam = state.lam
-    y = np.sin(tau)
-    cq = np.cos(tau)
-    u, du, d2u = _poly_derivatives(state, y)
-    core = cq**lam * ((1.0 - y * y) * d2u - (2.0 * lam + 1.0) * y * du - lam * lam * u)
-    return core + lam * (lam - 1.0) * cq ** (lam - 2.0) * u
-
-
-def residual_ode(n: int, params: PotentialParams, momentum: float | None = None) -> float:
+def residual_ode(n, params: PotentialParams, momentum: float | None = None) -> float | np.ndarray:
     """Scaled residual of the master equation at level n on 401 tau points.
 
     Returns max |c1^2 psi'' + (c/M) P psi - (1/M) A(A-1) sec^2(tau) psi|
     divided by max |psi| over the grid.  P defaults to the quantized value
     for level n; passing momentum explicitly turns the residual into a
     detector for off-spectrum values.  The grid keeps a 0.05 margin from
-    the interval ends where sec^2 amplifies roundoff.
+    the interval ends where sec^2 amplifies roundoff.  A sequence of levels
+    gives one residual per level.
     """
-    grid = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, 401)
-    state = build_basis_state(n, params)
-    M = params.mass_scale
-    psi = eval_state(state, grid)
-    d2 = _second_derivative(state, grid)
-    sec2 = 1.0 / np.cos(grid) ** 2
-    P = momentum_level(n, params) if momentum is None else float(momentum)
-    res = params.c1**2 * d2 + (params.c / M) * P * psi - params.A * (params.A - 1.0) / M * sec2 * psi
-    return float(np.max(np.abs(res)) / np.max(np.abs(psi)))
+    k, y, cq, psi, u, du, d2u = _grid_rows(n, params, 401)
+    M, lam = params.mass_scale, params.L + 0.5
+    # psi'' in tau via the chain rule on the envelope-times-polynomial form
+    core = cq**lam * ((1.0 - y * y) * d2u - (2.0 * lam + 1.0) * y * du - lam * lam * u)
+    d2 = core + lam * (lam - 1.0) * cq ** (lam - 2.0) * u
+    P = np.array([[momentum_level(j, params)] for j in k[:, 0]]) if momentum is None else float(momentum)
+    res = params.c1**2 * d2 + (params.c / M) * P * psi - params.A * (params.A - 1.0) / M * (1.0 / cq**2) * psi
+    return _one_or_rows(n, np.max(np.abs(res), axis=1) / np.max(np.abs(psi), axis=1))
 
 
 def overlap(m, n, params: PotentialParams, rule: QuadratureRule) -> float | np.ndarray:
@@ -210,9 +220,12 @@ def overlap(m, n, params: PotentialParams, rule: QuadratureRule) -> float | np.n
     cols = [n] if np.ndim(n) == 0 else list(n)
     for k in rows + cols:  # before set() merges True into 1 and 2.0 into 2
         _check_int("level index", k, 0, _MAX_LEVEL)
+    levels = sorted(set(rows + cols))
     half = 0.5 * np.pi
-    tau = half * rule.nodes
-    psi = {k: eval_state(build_basis_state(k, params), tau) for k in set(rows + cols)}
-    # dt = dtau / c1
-    block = np.array([[half * np.dot(rule.weights, psi[i] * psi[j]) / params.c1 for j in cols] for i in rows])
+    states = [build_basis_state(k, params) for k in levels]
+    psi = dict(zip(levels, eval_state(states, half * rule.nodes))) if levels else {}
+    # psi_i psi_j equals psi_j psi_i bit for bit, so each pair i <= j is integrated once; dt = dtau / c1
+    pairs = {(min(i, j), max(i, j)) for i in rows for j in cols}
+    dots = {(i, j): half * np.dot(rule.weights, psi[i] * psi[j]) / params.c1 for i, j in pairs}
+    block = np.array([[dots[min(i, j), max(i, j)] for j in cols] for i in rows])
     return float(block[0, 0]) if np.ndim(m) == np.ndim(n) == 0 else block.reshape(len(rows), len(cols))

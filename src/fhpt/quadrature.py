@@ -1,9 +1,10 @@
 """Gauss-Legendre rules and the K-weighted integrator built on them.
 
 The rule constructor runs Newton's iteration on the Legendre three-term
-recurrence (no eigenvalue machinery, no table lookup), which is cheap and
-fully accurate up to the supported order 4096.  Rules are cached per order,
-so each order has one rule object; node/weight arrays are returned read-only.
+recurrence, the Gegenbauer one at lam = 1/2 (no eigenvalue machinery, no
+table lookup), which is cheap and fully accurate up to the supported order
+4096.  Rules are cached per order, so each order has one rule object;
+node/weight arrays are returned read-only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .special import _bessel_k_array, bessel_k
+from .special import _bessel_k_array, bessel_k, gegenbauer_value
 
 __all__ = [
     "QuadratureRule",
@@ -42,12 +43,8 @@ class QuadratureRule:
 
 
 def _legendre_and_deriv(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p0 = np.ones_like(x)
-    p1 = np.zeros_like(x)
-    for j in range(1, m + 1):
-        p0, p1 = ((2.0 * j - 1.0) * x * p0 - (j - 1.0) * p1) / j, p0
-    dp = m * (x * p0 - p1) / (x * x - 1.0)
-    return p0, dp
+    p, p1 = gegenbauer_value([m, m - 1], 0.5, x)  # P_m = C_m^(1/2)
+    return p, m * (x * p - p1) / (x * x - 1.0)
 
 
 @functools.lru_cache(maxsize=None)

@@ -66,22 +66,25 @@ def gegenbauer_poly(n: int, lam: float) -> np.ndarray:
     return cur
 
 
-def gegenbauer_value(n: int, lam: float, y):
+def gegenbauer_value(n, lam: float, y):
     """C_n^lam(y) by running the recurrence at the evaluation point.
 
-    Better conditioned than Horner on the monomial coefficients once n grows
-    past ~15; accepts scalars or arrays.
+    n is a degree, or a sequence of degrees for one row each from one
+    recurrence; a row equals the single-degree value bit for bit, and a
+    negative degree gives zeros.  Better conditioned than Horner on the
+    monomial coefficients once n grows past ~15.
     """
     y = np.asarray(y, dtype=float)
-    if n < 0:
-        return np.zeros_like(y)
-    prev = np.ones_like(y)
-    if n == 0:
-        return prev
-    cur = 2.0 * lam * y
-    for k in range(2, n + 1):
+    degrees = np.asarray(n).astype(int, casting="safe")  # a float degree raises TypeError
+    wanted = set(degrees.flat)
+    found = {0: np.ones_like(y), 1: 2.0 * lam * y}
+    prev, cur = found[0], found[1]
+    for k in range(2, max(wanted, default=0) + 1):
         prev, cur = cur, (2.0 * (k + lam - 1.0) * y * cur - (k + 2.0 * lam - 2.0) * prev) / k
-    return cur
+        if k in wanted:
+            found[k] = cur
+    zero = np.zeros_like(y)
+    return np.array([found.get(d, zero) for d in degrees.flat]).reshape(degrees.shape + y.shape)[()]
 
 
 # ---------------------------------------------------------------------------

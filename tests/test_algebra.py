@@ -14,7 +14,7 @@ from fhpt.algebra import (
     ladder_coefficients,
 )
 from fhpt.errors import DomainError
-from fhpt.model import PotentialParams, build_basis_state, eval_state
+from fhpt.model import PotentialParams, _grid_rows, build_basis_state, eval_state
 from fhpt.quadrature import gauss_legendre
 
 A_GRID = (0.55, 0.75, 1.0, 1.5, 2.0, 3.7, 20.0)
@@ -55,6 +55,21 @@ def test_lowering_matches_eigenvalue_relation(A):
         image = apply_lowering(st)(y)
         target = lc.lower_eig * eval_state(build_basis_state(n - 1, p), TAU)
         assert np.max(np.abs(image - target)) < 1e-9 * np.max(np.abs(target))
+
+
+@pytest.mark.parametrize("A", (0.65, 2.0, 9.185))
+def test_level_ranged_images_equal_per_state_calls(A):
+    p = PotentialParams(A=A)
+    states = [build_basis_state(n, p) for n in range(100)]
+    _, y, _, _, u, du, _ = _grid_rows(range(100), p, len(TAU))
+    assert np.array_equal(y, np.sin(TAU))
+    for apply in (apply_raising, apply_lowering):
+        images = apply(states)(y)
+        assert np.array_equal(images, apply(states)(y, (u, du)))
+        for st, image in zip(states, images):
+            assert np.array_equal(image, apply(st)(y))
+    for st, psi in zip(states, eval_state(states, TAU)):
+        assert np.array_equal(psi, eval_state(st, TAU))
 
 
 def test_ground_state_annihilated_exactly():

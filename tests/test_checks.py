@@ -2,11 +2,12 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from fhpt import model
+from fhpt import model, special
 from fhpt.algebra import commutator_residual
 from fhpt.checks import CheckConfig, run_checks
 from fhpt.errors import DomainError
@@ -40,6 +41,16 @@ def test_default_run_passes_everything():
     assert {c.name for c in report.checks} == EXPECTED_CHECKS
     assert all(c.passed for c in report.checks)
     assert report.version == "fhpt-report/1"
+
+
+@pytest.mark.parametrize("nmax", [0, 1])
+def test_smallest_level_budgets_pass(nmax):
+    # at nmax = 0 no level has a lowering target, and the ground row is exactly zero
+    report = run_checks(CheckConfig(nmax=nmax))
+    assert report.passed
+    got = {c.name: c.residual for c in report.checks}
+    assert got["ground-annihilation"] == 0.0
+    assert (got["ladder-lowering"] == 0.0) == (nmax == 0)
 
 
 def test_run_at_other_well_strength():
@@ -88,6 +99,34 @@ def test_gram_checks_build_each_level_once_per_rule(monkeypatch):
     monkeypatch.setattr(model, "BasisState", lambda *fields: built.append(fields[0]) or original(*fields))
     run_checks(CheckConfig(nmax=30))
     assert len(built) <= 310
+
+
+@pytest.mark.parametrize("A", [0.65, 2.0, 3.7, 2.000025, 9.185])
+def test_level_ranged_residuals_equal_per_level_calls(A):
+    p = PotentialParams(A=A)
+    for residual in (residual_ode, commutator_residual):
+        single = [residual(n, p) for n in range(100)]
+        for nmax in (0, 1, 10, 99):
+            assert np.array_equal(residual(range(nmax + 1), p), single[: nmax + 1])
+
+
+def test_level_checks_run_one_recurrence_per_grid(monkeypatch):
+    # wrap every binding of gegenbauer_value in the fhpt modules, as the
+    # benchmark's span tracer does; the count must not grow with nmax.  The
+    # first run fills the Gauss-Legendre rule cache, whose Newton steps run
+    # the lam = 1/2 recurrence
+    run_checks(CheckConfig(nmax=10))
+    calls = []
+    original = special.gegenbauer_value
+    for module in [m for name, m in sys.modules.items() if name == "fhpt" or name.startswith("fhpt.")]:
+        if getattr(module, "gegenbauer_value", None) is original:
+            monkeypatch.setattr(module, "gegenbauer_value", lambda *args: calls.append(args) or original(*args))
+    counts = []
+    for nmax in (10, 45):
+        calls.clear()
+        run_checks(CheckConfig(nmax=nmax))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 12
 
 
 @pytest.mark.parametrize("nmax", [-1, 100, 1000, True, 2.0, "3"])

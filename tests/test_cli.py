@@ -795,6 +795,11 @@ OUT_OF_RANGE = {
     "verify --tol -1": "tol_override must be a positive finite number, got -1.0",
     "verify --quad-order 3000": "quad_order must be an integer in [1, 2048], got 3000",
 }
+# past this well strength a_prime is not finite: spectrum printed inf, wavefunction
+# nan (both exit 0), and coherent and verify raised an uncaught ValueError
+A_PRIME_BOUND = "gives a non-finite a_prime: 4 A (A - 1) / (c1^2 M) must be < 1.8e308"
+for _command, _A in (("spectrum", "1e154"), ("wavefunction", "1e200"), ("coherent", "1e200"), ("verify", "1e200")):
+    OUT_OF_RANGE[f"{_command} --A {_A}"] = f"well strength A={float(_A)!r} {A_PRIME_BOUND}"
 
 
 @pytest.mark.parametrize("command", list(OUT_OF_RANGE))

@@ -58,6 +58,16 @@ def test_inadmissible_strength_raises():
         PotentialParams(A=0.5, c1=0.4)
 
 
+def test_strength_with_a_non_finite_shape_exponent_raises():
+    # 4 A (A - 1) / (c1^2 M) overflows between these strengths in natural units
+    assert math.isfinite(PotentialParams(A=6e153).a_prime)
+    for A in (1e154, -1e154, 1e300):
+        with pytest.raises(DomainError, match="non-finite a_prime"):
+            PotentialParams(A=A)
+    with pytest.raises(DomainError, match="non-finite a_prime"):
+        PotentialParams(A=1e150, c1=1e-10)
+
+
 def test_params_validation():
     with pytest.raises(DomainError):
         PotentialParams(A=2.0, c1=-1.0)
@@ -133,6 +143,9 @@ def test_eval_state_domain_and_shapes():
         eval_state(st, 0.5 * np.pi)
     with pytest.raises(DomainError):
         eval_state(st, np.array([0.0, 1.6]))
+    assert eval_state([st, build_basis_state(0, p)], np.linspace(-1.0, 1.0, 7)).shape == (2, 7)
+    with pytest.raises(DomainError, match="one well"):
+        eval_state([st, build_basis_state(3, PotentialParams(A=3.0))], 0.3)
 
 
 def test_eval_state_on_empty_and_zero_dim_arrays():
@@ -298,11 +311,12 @@ def test_overlap_shapes():
 
 
 def test_overlap_block_evaluates_each_level_once(monkeypatch):
+    # one eval_state call covers every distinct level, each once
     seen = []
     original = model.eval_state
-    monkeypatch.setattr(model, "eval_state", lambda st, tau: seen.append(st.n) or original(st, tau))
-    overlap(range(7), range(7), PotentialParams(A=2.0), gauss_legendre(80))
-    assert sorted(seen) == list(range(7))
+    monkeypatch.setattr(model, "eval_state", lambda sts, tau: seen.append([s.n for s in sts]) or original(sts, tau))
+    overlap(range(7), [2, 9, 0], PotentialParams(A=2.0), gauss_legendre(80))
+    assert seen == [[0, 1, 2, 3, 4, 5, 6, 9]]
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, -1])

@@ -108,6 +108,37 @@ def test_legendre_integer_vs_scipy():
             assert np.max(np.abs(ours - ref)) < 1e-10 * scale
 
 
+def _two_term_recurrence(n, lam, y):
+    # the single-degree recurrence with two running terms, kept as the
+    # reference that every row of a degree range equals bit for bit
+    y = np.asarray(y, dtype=float)
+    if n < 0:
+        return np.zeros_like(y)
+    prev = np.ones_like(y)
+    if n == 0:
+        return prev
+    cur = 2.0 * lam * y
+    for k in range(2, n + 1):
+        prev, cur = cur, (2.0 * (k + lam - 1.0) * y * cur - (k + 2.0 * lam - 2.0) * prev) / k
+    return cur
+
+
+@pytest.mark.parametrize("y", [np.linspace(-0.999, 0.999, 401), 0.3])
+@pytest.mark.parametrize("lam", [0.65, 2.0, 2.000025, 3.7])
+def test_gegenbauer_degree_range_rows_equal_single_degrees(lam, y):
+    # the derivative shifts lam + 1 and lam + 2 take degrees down to -2, which give zero rows
+    degrees = list(range(100, -3, -1))
+    for shifted in (lam, lam + 1.0, lam + 2.0):
+        rows = gegenbauer_value(degrees, shifted, y)
+        assert rows.shape == (len(degrees),) + np.shape(y)
+        for row, n in zip(rows, degrees):
+            assert np.array_equal(row, _two_term_recurrence(n, shifted, y))
+            assert np.array_equal(row, gegenbauer_value(n, shifted, y))
+    assert not np.any(gegenbauer_value([-2, -1], lam, y))
+    with pytest.raises(TypeError):
+        gegenbauer_value([2, 2.5], lam, y)
+
+
 def test_gegenbauer_domain():
     with pytest.raises(DomainError):
         gegenbauer_poly(-1, 1.5)
