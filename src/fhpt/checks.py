@@ -18,12 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .algebra import apply_lowering, apply_raising, casimir_eigenvalue, commutator_residual, ladder_coefficients
-from .coherent import (
-    build_coherent_state,
-    lowering_eigenstate_residual,
-    radial_weight_moment,
-    resolution_of_identity_check,
-)
+from .coherent import _diagonal_moments, build_coherent_state, lowering_eigenstate_residual, radial_weight_moment
 from .errors import DomainError, _check_int
 from .model import _MAX_LEVEL, PotentialParams, _grid_rows, build_basis_state, momentum_level, overlap, residual_ode
 from .quadrature import _MAX_ORDER, default_r_max, gauss_legendre, integrate_semi_infinite_k_weight
@@ -35,12 +30,10 @@ REPORT_VERSION = "fhpt-report/1"
 
 
 @dataclass(frozen=True)
-class CheckConfig:
+class CheckConfig(PotentialParams):
+    """The well the checks run on (A defaults to 2.0), then the level budget, rule order and tolerance override."""
+
     A: float = 2.0
-    c1: float = 1.0
-    m0: float = 0.5
-    c: float = 1.0
-    hbar: float = 1.0
     nmax: int = 10
     quad_order: int = 200
     tol_override: float | None = None
@@ -54,6 +47,7 @@ class CheckConfig:
         t = self.tol_override
         if t is not None and (isinstance(t, bool) or not (math.isfinite(t) and t > 0.0)):
             raise DomainError(f"tol_override must be a positive finite number, got {t!r}")
+        super().__post_init__()
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -106,33 +100,31 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     if config is None:
         config = CheckConfig()
     ov = config.tol_override
-    params = PotentialParams(A=config.A, c1=config.c1, m0=config.m0, c=config.c, hbar=config.hbar)
-    L = params.L
+    L = config.L
     checks: list[CheckResult] = []
 
     # master equation residual over every level
     levels = range(config.nmax + 1)
-    r = residual_ode(levels, params).max()
+    r = residual_ode(levels, config).max()
     checks.append(_result("ode-residual", "secant-well-equation", r, 1e-9, ov))
 
     # squared-integer spectrum at unit well strength in natural units
     unit = PotentialParams(A=1.0)
-    r = max(
-        abs(momentum_level(n, unit) - (n + 1.0) ** 2) / (n + 1.0) ** 2 for n in range(51)
-    )
+    squares = (np.arange(51) + 1.0) ** 2
+    r = np.max(np.abs(momentum_level(range(51), unit) - squares) / squares)
     checks.append(_result("spectrum-square-law", "unit-well-squared-integers", r, 1e-14, ov))
 
     # orthonormality of the basis under the t measure
     rule = gauss_legendre(config.quad_order)
-    gram = overlap(levels, levels, params, rule)
-    gram2 = overlap(levels, levels, params, gauss_legendre(2 * config.quad_order))
+    gram = overlap(levels, levels, config, rule)
+    gram2 = overlap(levels, levels, config, gauss_legendre(2 * config.quad_order))
     checks.append(_result("gram-identity", "basis-orthonormality", np.max(np.abs(gram - np.eye(len(levels)))), 1e-10, ov))
     checks.append(_result("gram-order-doubling", "quadrature-convergence", np.max(np.abs(gram - gram2)), 1e-12, ov))
 
     # ladder maps against their eigenvalue relations, from one set of rows of
     # levels 0..nmax+1; row 0 of the lowering images is the ground level's
-    _, y, _, psi, u, du, _ = _grid_rows(range(config.nmax + 2), params, 101)
-    states = [build_basis_state(n, params) for n in levels]
+    _, y, _, psi, u, du, _ = _grid_rows(range(config.nmax + 2), config, 101)
+    states = [build_basis_state(n, config) for n in levels]
     up = apply_raising(states)(y, (u[:-1], du[:-1]))
     dn = apply_lowering(states)(y, (u[:-1], du[:-1]))
     target_up = np.array([ladder_coefficients(n, L).raise_eig for n in levels])[:, None] * psi[1:]
@@ -143,32 +135,29 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     checks.append(_result("ladder-lowering", "lowering-eigenvalue", worst_dn, 1e-9, ov))
     checks.append(_result("ground-annihilation", "lowering-kills-ground", np.max(np.abs(dn[0])), 1e-10, ov))
 
-    r = commutator_residual(levels, params).max()
+    r = commutator_residual(levels, config).max()
     checks.append(_result("commutator", "ladder-commutator", r, 1e-9, ov))
 
     cas = L * L - 0.25
-    r = max(abs(casimir_eigenvalue(n, params) - cas) for n in range(21))
+    r = max(abs(casimir_eigenvalue(n, config) - cas) for n in range(21))
     checks.append(_result("casimir-constancy", "casimir-invariant", r, 1e-12, ov))
 
     # coherent states: weight normalization and the annihilation eigenrelation
     r = 0.0
     for z in (0.5 + 0.0j, 2.0 + 0.0j, 5.0 + 0.0j):
-        cs = build_coherent_state(z, params)
+        cs = build_coherent_state(z, config)
         r = max(r, abs(1.0 - cs.norm_sq))
     checks.append(_result("coherent-normalization", "unit-weight-sum", r, 1e-12, ov))
 
     r = 0.0
     for z in (0.5 + 0.0j, 1.0 + 1.0j, 3.0 * np.exp(0.25j * np.pi)):
-        cs = build_coherent_state(z, params)
+        cs = build_coherent_state(z, config)
         r = max(r, lowering_eigenstate_residual(cs))
     checks.append(_result("lowering-eigenstate", "annihilation-eigenrelation", r, 1e-10, ov))
 
     # completeness over the label plane: diagonal moments equal 1
-    shared_r_max = default_r_max(2.0 * config.nmax + 2.0 * L + 1.0)
-    r = max(
-        abs(resolution_of_identity_check(n, n, params, rule=rule, r_max=shared_r_max) - 1.0)
-        for n in levels
-    )
+    moments, _ = _diagonal_moments(config.nmax, config, rule)
+    r = max(abs(v - 1.0) for v in moments)
     checks.append(_result("identity-resolution", "label-plane-completeness", r, 1e-7, ov))
 
     r = 0.0

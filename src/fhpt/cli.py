@@ -16,20 +16,16 @@ import cmath
 import functools
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .checks import CheckConfig, run_checks
-from .coherent import (
-    build_coherent_state,
-    general_expectation,
-    lowering_eigenstate_residual,
-    resolution_of_identity_check,
-)
+from .coherent import _diagonal_moments, build_coherent_state, general_expectation, lowering_eigenstate_residual
 from .errors import ConvergenceError, DomainError, IntegrationError
 from .model import PotentialParams, build_basis_state, eval_state, momentum_level
-from .quadrature import default_r_max, gauss_legendre
+from .quadrature import gauss_legendre
 
 __all__ = ["main", "parse_z"]
 
@@ -53,9 +49,12 @@ def parse_z(text: str) -> complex:
         raise DomainError(f"cannot parse complex value {text!r}") from None
 
 
+_WELL = [f.name for f in fields(PotentialParams)]
+
+
 def _config(args: argparse.Namespace, **extra) -> dict:
     """The well parameters of a command, followed by its own settings in order."""
-    return {"A": args.A, "c1": args.c1, "m0": args.m0, "c": args.c, "hbar": args.hbar, **extra}
+    return {name: getattr(args, name) for name in _WELL} | extra
 
 
 def _params(args: argparse.Namespace) -> PotentialParams:
@@ -75,46 +74,45 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _csv(header: str, config: dict, columns: list[str], rows: list, summary: dict) -> str:
-    """A header line, '# key=value' config lines, the table, then '# key=value' summary lines."""
-    lines = [header]
-    for k, v in config.items():
-        lines.append(f"# {k}={_fmt_cell(v)}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
-    for k, v in summary.items():
-        lines.append(f"# {k}={_fmt_cell(v)}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit(args: argparse.Namespace, command: str, config: dict, columns: list[str], rows: list, summary: dict) -> None:
+def _write(
+    args: argparse.Namespace, payload: dict, header: str, config: dict, columns: list[str], rows: list, summary: dict
+) -> None:
+    """Write payload as JSON, or as CSV: a header line, '# key=value' config lines, the table, then
+    '# key=value' summary lines."""
     if args.format == "json":
-        payload = {
-            "version": TABLE_VERSION,
-            "command": command,
-            "config": config,
-            "columns": columns,
-            "rows": rows,
-            "summary": summary,
-        }
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        text = _csv(f"# {TABLE_VERSION} command={command}", config, columns, rows, summary)
-    _write(args, text)
-
-
-def _write(args: argparse.Namespace, text: str) -> None:
+        lines = [header]
+        for k, v in config.items():
+            lines.append(f"# {k}={_fmt_cell(v)}")
+        lines.append(",".join(columns))
+        for row in rows:
+            lines.append(",".join(_fmt_cell(v) for v in row))
+        for k, v in summary.items():
+            lines.append(f"# {k}={_fmt_cell(v)}")
+        text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
+def _emit(args: argparse.Namespace, command: str, config: dict, columns: list[str], rows: list, summary: dict) -> None:
+    payload = {
+        "version": TABLE_VERSION,
+        "command": command,
+        "config": config,
+        "columns": columns,
+        "rows": rows,
+        "summary": summary,
+    }
+    _write(args, payload, f"# {TABLE_VERSION} command={command}", config, columns, rows, summary)
+
+
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     _at_least("--nmax", args.nmax, 0)
     params = _params(args)
-    rows = [[n, momentum_level(n, params)] for n in range(args.nmax + 1)]
+    rows = [[n, p] for n, p in enumerate(momentum_level(range(args.nmax + 1), params).tolist())]
     config = _config(args, nmax=args.nmax)
     summary = {"a_prime": params.a_prime, "L": params.L, "mass_scale": params.mass_scale}
     _emit(args, "spectrum", config, ["n", "momentum"], rows, summary)
@@ -135,14 +133,18 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_coherent(args: argparse.Namespace) -> int:
+def _coherent(args: argparse.Namespace) -> tuple:
+    # what coherent and expect share: the well, the state of the label, its weights |c_n|^2 and the config echo
     params = _params(args)
     z = parse_z(args.z)
     cs = build_coherent_state(z, params, tail_tol=args.tail_tol)
-    weights = np.abs(cs.coeffs) ** 2
+    return params, cs, np.abs(cs.coeffs) ** 2, _config(args, z_re=z.real, z_im=z.imag, tail_tol=args.tail_tol)
+
+
+def _cmd_coherent(args: argparse.Namespace) -> int:
+    params, cs, weights, config = _coherent(args)
     rows = [[n, float(w), float(np.angle(c))] for n, (w, c) in enumerate(zip(weights, cs.coeffs))]
     mean_level = float(np.dot(weights, np.arange(len(weights))))
-    config = _config(args, z_re=z.real, z_im=z.imag, tail_tol=args.tail_tol)
     summary = {
         "truncation_level": cs.truncation_level,
         "tail_bound": cs.tail_bound,
@@ -157,30 +159,20 @@ def _cmd_coherent(args: argparse.Namespace) -> int:
 
 def _cmd_resolution(args: argparse.Namespace) -> int:
     _at_least("--nmax", args.nmax, 0)
-    params = _params(args)
-    rule = gauss_legendre(args.quad_order)
-    r_max = default_r_max(2.0 * args.nmax + 2.0 * params.L + 1.0)
-    rows = []
-    worst = 0.0
-    for n in range(args.nmax + 1):
-        v = resolution_of_identity_check(n, n, params, rule=rule, r_max=r_max)
-        rows.append([n, float(v), float(abs(v - 1.0))])
-        worst = max(worst, abs(v - 1.0))
+    moments, r_max = _diagonal_moments(args.nmax, _params(args), gauss_legendre(args.quad_order))
+    rows = [[n, float(v), float(abs(v - 1.0))] for n, v in enumerate(moments)]
     config = _config(args, nmax=args.nmax, quad_order=args.quad_order)
-    summary = {"r_max": r_max, "max_abs_deviation": worst}
+    summary = {"r_max": r_max, "max_abs_deviation": max(abs(v - 1.0) for v in moments)}
     _emit(args, "resolution", config, ["n", "value", "deviation"], rows, summary)
     return 0
 
 
 def _cmd_expect(args: argparse.Namespace) -> int:
-    params = _params(args)
-    z = parse_z(args.z)
-    cs = build_coherent_state(z, params, tail_tol=args.tail_tol)
-    weights = np.abs(cs.coeffs) ** 2
+    params, cs, weights, config = _coherent(args)
     ns = np.arange(len(weights), dtype=float)
     mean_level = float(np.dot(weights, ns))
     var_level = float(np.dot(weights, ns * ns)) - mean_level**2
-    momenta = np.array([momentum_level(int(n), params) for n in range(len(weights))])
+    momenta = momentum_level(range(len(weights)), params)
     L = params.L
 
     def raising_element(i: int, j: int) -> complex:
@@ -198,7 +190,6 @@ def _cmd_expect(args: argparse.Namespace) -> int:
         ["raising_mean_im", raising_mean.imag],
         ["weight_sum", cs.norm_sq],
     ]
-    config = _config(args, z_re=z.real, z_im=z.imag, tail_tol=args.tail_tol)
     summary = {"truncation_level": cs.truncation_level, "tail_bound": cs.tail_bound}
     _emit(args, "expect", config, ["observable", "value"], rows, summary)
     return 0
@@ -215,25 +206,41 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"{n_failed} of {len(report.checks)} checks failed", file=sys.stderr)
     else:
         print(f"all {len(report.checks)} checks passed", file=sys.stderr)
-
-    if args.format == "json":
-        text = json.dumps(report.to_dict(), indent=2) + "\n"
-    else:
-        columns = ["name", "identity", "residual", "tol", "pass"]
-        rows = [[c.name, c.identity, c.residual, c.tol, c.passed] for c in report.checks]
-        text = _csv(f"# {report.version}", report.config, columns, rows, {"pass": report.passed})
-    _write(args, text)
+    columns = ["name", "identity", "residual", "tol", "pass"]
+    rows = [[c.name, c.identity, c.residual, c.tol, c.passed] for c in report.checks]
+    _write(args, report.to_dict(), f"# {report.version}", report.config, columns, rows, {"pass": report.passed})
     return 0 if report.passed else 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--A", type=float, default=2.0, help="well strength (default 2.0)")
-    p.add_argument("--c1", type=float, default=1.0, help="time-scaling frequency (default 1.0)")
-    p.add_argument("--m0", type=float, default=0.5, help="mass parameter (default 0.5, natural units)")
-    p.add_argument("--c", type=float, default=1.0, help="speed scale (default 1.0)")
-    p.add_argument("--hbar", type=float, default=1.0, help="action scale (default 1.0)")
+_WELL_HELP = {
+    "A": "well strength (default 2.0)",
+    "c1": "time-scaling frequency (default 1.0)",
+    "m0": "mass parameter (default 0.5, natural units)",
+    "c": "speed scale (default 1.0)",
+    "hbar": "action scale (default 1.0)",
+}
+# the options that more than one command takes
+_SHARED = {
+    "--nmax": {"type": int, "default": CheckConfig.nmax, "help": "highest level (default 10)"},
+    "--quad-order": {"type": int, "default": CheckConfig.quad_order, "help": "panel rule order"},
+    "--z": {"default": "1", "help": "complex label, 'a+bi' or polar 'r@theta'"},
+    "--tail-tol": {"type": float, "default": 1e-13, "help": "dropped-weight bound"},
+}
+
+
+def _command(sub, name: str, func, summary: str, *shared: str, **reworded: str) -> argparse.ArgumentParser:
+    """A subcommand taking the well parameters, --format, --out and the shared options named; reworded
+    gives a shared option this command's own help, keyed by its dest."""
+    p = sub.add_parser(name, help=summary)
+    for name in _WELL:
+        p.add_argument(f"--{name}", type=float, default=getattr(CheckConfig, name), help=_WELL_HELP[name])
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+    for flag in shared:
+        settings = _SHARED[flag]
+        p.add_argument(flag, **{**settings, "help": reworded.get(flag[2:].replace("-", "_"), settings["help"])})
+    p.set_defaults(func=func)
+    return p
 
 
 # built on the first request and reused: parse_args leaves the parser unchanged
@@ -245,44 +252,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "spectrum, states, ladder algebra, coherent superpositions, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="momentum eigenvalues by level")
-    _add_common(p)
-    p.add_argument("--nmax", type=int, default=10, help="highest level (default 10)")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("wavefunction", help="sample one normalized state on a tau grid")
-    _add_common(p)
+    _command(sub, "spectrum", _cmd_spectrum, "momentum eigenvalues by level", "--nmax")
+    p = _command(sub, "wavefunction", _cmd_wavefunction, "sample one normalized state on a tau grid")
     p.add_argument("--n", type=int, default=0, help="level index (default 0)")
     p.add_argument("--samples", type=int, default=201, help="number of interior grid points")
     p.add_argument("--interval", choices=("full", "half"), default="full", help="normalization convention")
-    p.set_defaults(func=_cmd_wavefunction)
-
-    p = sub.add_parser("coherent", help="coefficient table of a coherent superposition")
-    _add_common(p)
-    p.add_argument("--z", default="1", help="complex label, 'a+bi' or polar 'r@theta'")
-    p.add_argument("--tail-tol", type=float, default=1e-13, help="dropped-weight bound")
-    p.set_defaults(func=_cmd_coherent)
-
-    p = sub.add_parser("resolution", help="diagonal completeness moments over the label plane")
-    _add_common(p)
-    p.add_argument("--nmax", type=int, default=10, help="highest level (default 10)")
-    p.add_argument("--quad-order", type=int, default=200, help="panel rule order")
-    p.set_defaults(func=_cmd_resolution)
-
-    p = sub.add_parser("expect", help="expectation values in a coherent state")
-    _add_common(p)
-    p.add_argument("--z", default="1", help="complex label, 'a+bi' or polar 'r@theta'")
-    p.add_argument("--tail-tol", type=float, default=1e-13, help="dropped-weight bound")
-    p.set_defaults(func=_cmd_expect)
-
-    p = sub.add_parser("verify", help="run every named identity check and report")
-    _add_common(p)
-    p.add_argument("--nmax", type=int, default=10, help="level budget for the checks")
-    p.add_argument("--quad-order", type=int, default=200, help="quadrature order for overlaps")
+    _command(sub, "coherent", _cmd_coherent, "coefficient table of a coherent superposition", "--z", "--tail-tol")
+    _command(
+        sub, "resolution", _cmd_resolution, "diagonal completeness moments over the label plane", "--nmax", "--quad-order"
+    )
+    _command(sub, "expect", _cmd_expect, "expectation values in a coherent state", "--z", "--tail-tol")
+    p = _command(
+        sub, "verify", _cmd_verify, "run every named identity check and report", "--nmax", "--quad-order",
+        nmax="level budget for the checks", quad_order="quadrature order for overlaps",
+    )
     p.add_argument("--tol", type=float, default=None, help="override every check tolerance")
-    p.set_defaults(func=_cmd_verify)
-
     return parser
 
 

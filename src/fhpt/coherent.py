@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, _check_int
 from .model import PotentialParams
-from .quadrature import QuadratureRule, integrate_semi_infinite_k_weight
+from .quadrature import QuadratureRule, default_r_max, integrate_semi_infinite_k_weight
 from .special import _bessel_i_series, bessel_i
 
 __all__ = [
@@ -170,3 +170,10 @@ def resolution_of_identity_check(
     )
     pref = 4.0 * math.exp(-math.lgamma(n + 1.0) - math.lgamma(n + 2.0 * L + 1.0))
     return pref * value
+
+
+def _diagonal_moments(nmax: int, params: PotentialParams, rule: QuadratureRule) -> tuple[list[float], float]:
+    # the diagonal elements of levels 0..nmax and their one cutoff, taken at the top level's degree, so
+    # that every level integrates against one K-grid
+    r_max = default_r_max(2.0 * nmax + 2.0 * params.L + 1.0)
+    return [resolution_of_identity_check(n, n, params, rule=rule, r_max=r_max) for n in range(nmax + 1)], r_max

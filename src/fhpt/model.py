@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,17 +64,26 @@ class PotentialParams:
                 raise DomainError(f"{name} must be a positive finite number, got {v!r}")
         if isinstance(self.A, bool) or not (isinstance(self.A, (int, float)) and math.isfinite(self.A)):
             raise DomainError(f"A must be a finite number, got {self.A!r}")
+        try:  # a square that overflows raises; an underflow to zero divides by it
+            in_range = 0.0 < self.mass_scale < math.inf and 0.0 < self.c1**2 * self.mass_scale < math.inf
+        except (OverflowError, ZeroDivisionError):
+            in_range = False
+        if not in_range:
+            scales = f"c1={self.c1!r}, m0={self.m0!r}, c={self.c!r}, hbar={self.hbar!r}"
+            raise DomainError(f"scales {scales} leave the double range: M = hbar^2 / (2 m0 c^2) and c1^2 M must be "
+                              "positive finite doubles")
         self.a_prime  # validate admissibility eagerly
 
     @property
     def mass_scale(self) -> float:
         return self.hbar**2 / (2.0 * self.m0 * self.c**2)
 
-    @property
+    # derived once per instance: a frozen dataclass allows cached_property, and asdict ignores it
+    @cached_property
     def a_prime(self) -> float:
         return derive_a_prime(self)
 
-    @property
+    @cached_property
     def L(self) -> float:
         """Effective angular-momentum-like index, (a_prime - 1) / 2."""
         return 0.5 * (self.a_prime - 1.0)
@@ -101,11 +111,13 @@ def derive_a_prime(params: PotentialParams) -> float:
     return 1.0 + math.sqrt(radicand)
 
 
-def momentum_level(n: int, params: PotentialParams) -> float:
-    """Quantized momentum of level n: (c1^2 M / c) (n + a_prime / 2)^2."""
-    _check_int("level index", n, 0)
-    base = n + 0.5 * params.a_prime
-    return params.c1**2 * params.mass_scale / params.c * base * base
+def momentum_level(n, params: PotentialParams) -> float | np.ndarray:
+    """Quantized momentum of level n: (c1^2 M / c) (n + a_prime / 2)^2; a sequence of levels gives one per level."""
+    levels = [n] if np.ndim(n) == 0 else list(n)
+    for k in levels:
+        _check_int("level index", k, 0)
+    base = np.array(levels, dtype=float) + 0.5 * params.a_prime
+    return _one_or_rows(n, params.c1**2 * params.mass_scale / params.c * base * base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +217,7 @@ def residual_ode(n, params: PotentialParams, momentum: float | None = None) -> f
     # psi'' in tau via the chain rule on the envelope-times-polynomial form
     core = cq**lam * ((1.0 - y * y) * d2u - (2.0 * lam + 1.0) * y * du - lam * lam * u)
     d2 = core + lam * (lam - 1.0) * cq ** (lam - 2.0) * u
-    P = np.array([[momentum_level(j, params)] for j in k[:, 0]]) if momentum is None else float(momentum)
+    P = momentum_level(k[:, 0], params)[:, None] if momentum is None else float(momentum)
     res = params.c1**2 * d2 + (params.c / M) * P * psi - params.A * (params.A - 1.0) / M * (1.0 / cq**2) * psi
     return _one_or_rows(n, np.max(np.abs(res), axis=1) / np.max(np.abs(psi), axis=1))
 

@@ -101,6 +101,16 @@ def test_gram_checks_build_each_level_once_per_rule(monkeypatch):
     assert len(built) <= 310
 
 
+def test_each_well_derives_its_shape_exponent_once(monkeypatch):
+    # the configured well (a CheckConfig is one) and the unit well of spectrum-square-law
+    calls = []
+    original = model.derive_a_prime
+    monkeypatch.setattr(model, "derive_a_prime", lambda params: calls.append(params) or original(params))
+    report = run_checks(CheckConfig())
+    assert report.passed
+    assert [(type(p), p.A) for p in calls] == [(CheckConfig, 2.0), (PotentialParams, 1.0)]
+
+
 @pytest.mark.parametrize("A", [0.65, 2.0, 3.7, 2.000025, 9.185])
 def test_level_ranged_residuals_equal_per_level_calls(A):
     p = PotentialParams(A=A)

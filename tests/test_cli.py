@@ -800,6 +800,16 @@ OUT_OF_RANGE = {
 A_PRIME_BOUND = "gives a non-finite a_prime: 4 A (A - 1) / (c1^2 M) must be < 1.8e308"
 for _command, _A in (("spectrum", "1e154"), ("wavefunction", "1e200"), ("coherent", "1e200"), ("verify", "1e200")):
     OUT_OF_RANGE[f"{_command} --A {_A}"] = f"well strength A={float(_A)!r} {A_PRIME_BOUND}"
+# scales whose M or c1^2 M leaves the double range: an underflow to zero ended in an uncaught
+# ZeroDivisionError (exit 1), an overflowing square in "error: (34, 'Numerical result out of range')"
+SCALE_BOUND = "leave the double range: M = hbar^2 / (2 m0 c^2) and c1^2 M must be positive finite doubles"
+for _command, _scale, _value in (
+    ("spectrum", "c1", "1e-200"), ("spectrum", "c", "1e-200"), ("spectrum", "m0", "1e308"), ("verify", "c1", "1e-200"),
+    ("spectrum", "hbar", "1e200"), ("coherent", "c1", "1e200"), ("wavefunction", "m0", "1e-310"),
+):
+    _scales = {"c1": 1.0, "m0": 0.5, "c": 1.0, "hbar": 1.0, _scale: float(_value)}
+    _named = ", ".join(f"{k}={v!r}" for k, v in _scales.items())
+    OUT_OF_RANGE[f"{_command} --{_scale} {_value}"] = f"scales {_named} {SCALE_BOUND}"
 
 
 @pytest.mark.parametrize("command", list(OUT_OF_RANGE))
@@ -822,6 +832,34 @@ def test_exit_two_on_usage_error():
     assert run_cli("nonsense").returncode == 2
     assert run_cli("wavefunction", "--interval", "bogus").returncode == 2
     assert run_cli("coherent", "--z", "abc").returncode == 2
+
+
+WELL_DEFAULTS = {"A": 2.0, "c1": 1.0, "m0": 0.5, "c": 1.0, "hbar": 1.0, "format": "csv", "out": None}
+PARSED_DEFAULTS = {
+    "spectrum": {"nmax": 10},
+    "wavefunction": {"n": 0, "samples": 201, "interval": "full"},
+    "coherent": {"z": "1", "tail_tol": 1e-13},
+    "resolution": {"nmax": 10, "quad_order": 200},
+    "expect": {"z": "1", "tail_tol": 1e-13},
+    "verify": {"nmax": 10, "quad_order": 200, "tol": None},
+}
+
+
+@pytest.mark.parametrize("command", list(PARSED_DEFAULTS))
+def test_parsed_defaults_of_every_command(command):
+    # the goldens pass most options explicitly; this pins what each command reads when none is given
+    parsed = vars(cli._build_parser().parse_args([command]))
+    assert parsed.pop("func").__name__ == f"_cmd_{command}"
+    assert parsed == {"command": command, **WELL_DEFAULTS, **PARSED_DEFAULTS[command]}
+
+
+def test_verify_words_its_shared_options_for_the_checks(capsys):
+    assert main(["verify", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "level budget for the checks" in out and "quadrature order for overlaps" in out
+    assert main(["resolution", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "highest level (default 10)" in out and "panel rule order" in out
 
 
 def test_one_parser_serves_every_request_in_a_process(capsys):

@@ -80,12 +80,42 @@ def test_params_validation():
             PotentialParams(**{"A": 2.0, field: True})
 
 
+@pytest.mark.parametrize("scales", [
+    {"c1": 1e-200}, {"c": 1e-200}, {"m0": 1e308}, {"m0": 1e-310}, {"hbar": 1e200}, {"c1": 1e200}, {"hbar": 1e-170},
+])
+def test_scales_outside_the_double_range_raise(scales):
+    # each leaves M = hbar^2 / (2 m0 c^2) or c1^2 M at 0, inf, or a square that overflows
+    with pytest.raises(DomainError, match=r"and c1\^2 M must be positive finite doubles"):
+        PotentialParams(A=2.0, **scales)
+    assert PotentialParams(A=1.0, c1=1e-150, hbar=1e100).a_prime == 2.0
+
+
+def test_derived_constants_are_computed_once(monkeypatch):
+    p = PotentialParams(A=2.0)
+    calls = []
+    monkeypatch.setattr(model, "derive_a_prime", lambda params: calls.append(params) or 4.0)
+    assert (p.a_prime, p.L, PotentialParams(A=3.0).L, p.L) == (4.0, 1.5, 1.5, 1.5)
+    assert len(calls) == 1
+
+
 # spectrum
 
 def test_unit_well_spectrum_is_squared_integers():
     p = PotentialParams(A=1.0)
     for n in range(51):
         assert momentum_level(n, p) == (n + 1.0) ** 2
+
+
+@pytest.mark.parametrize("A", [1.5, 2.0, 3.7, 9.185])
+def test_level_range_momenta_equal_per_level_calls(A):
+    # the reference is the scalar formula in Python floats; a range takes the same operations per level
+    p = PotentialParams(A=A, c1=1.3, m0=0.7, c=2.1)
+    ref = [p.c1**2 * p.mass_scale / p.c * (n + 0.5 * p.a_prime) * (n + 0.5 * p.a_prime) for n in range(100)]
+    single = [momentum_level(n, p) for n in range(100)]
+    assert all(type(v) is float for v in single) and single == ref
+    for levels in (range(0), range(1), range(100), np.arange(7, 40)):
+        got = momentum_level(levels, p)
+        assert isinstance(got, np.ndarray) and got.tolist() == [ref[n] for n in levels]
 
 
 def test_spectrum_spacing_identity():
@@ -105,6 +135,8 @@ def test_momentum_level_domain():
         momentum_level(-1, p)
     with pytest.raises(DomainError):
         momentum_level(2.5, p)
+    with pytest.raises(DomainError):
+        momentum_level([0, 1, -1], p)
 
 
 def test_level_index_rejects_bool():
