@@ -85,22 +85,23 @@ def default_r_max(poly_degree: float) -> float:
 
 # a verify integrates several moments against each grid, so grids are cached
 # per (nu, geometry, rule); rules are cached per order, so a rule's identity
-# is a stable key, and 32 grids of 6,400 nodes take about 3.3 MB
+# is a stable key, and 32 grids of 6,400 nodes take about 3.3 MB.  The grid
+# carries the scalar K_nu(2 r) at the tail probes r = hi, lo and 2 lo, which
+# every moment on it shares
 @functools.lru_cache(maxsize=32)
 def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int, rule: QuadratureRule):
     edges = np.geomspace(lo, hi, n_panels + 1)
-    nodes = np.concatenate(
-        [0.5 * (l + h) + 0.5 * (h - l) * rule.nodes for l, h in zip(edges[:-1], edges[1:])]
-    )
-    weights = np.concatenate([0.5 * (h - l) * rule.weights for l, h in zip(edges[:-1], edges[1:])])
+    l, h = edges[:-1, None], edges[1:, None]
+    nodes = (0.5 * (l + h) + 0.5 * (h - l) * rule.nodes).ravel()
+    weights = (0.5 * (h - l) * rule.weights).ravel()
     wk = weights * _bessel_k_array(nu, 2.0 * nodes)
     nodes.setflags(write=False)
     wk.setflags(write=False)
-    return nodes, wk
+    return nodes, wk, tuple(bessel_k(nu, 2.0 * r) for r in (hi, lo, 2.0 * lo))
 
 
-def _point(g: Callable, nu: float, r: float) -> float:
-    return float(np.asarray(g(np.array([r])), dtype=float)[0]) * bessel_k(nu, 2.0 * r)
+def _point(g: Callable, r: float, k: float) -> float:
+    return float(np.asarray(g(np.array([r])), dtype=float)[0]) * k
 
 
 def integrate_semi_infinite_k_weight(
@@ -128,7 +129,7 @@ def integrate_semi_infinite_k_weight(
     if not r_max > lo:
         raise DomainError(f"r_max must exceed the inner mesh edge {lo!r}, got {r_max!r}")
 
-    nodes, wk = _k_weighted_grid(nu, lo, r_max, 32, rule)
+    nodes, wk, (k_hi, k_lo, k_2lo) = _k_weighted_grid(nu, lo, r_max, 32, rule)
     gv = np.asarray(g(nodes), dtype=float)
     if not np.all(np.isfinite(gv)):
         bad = nodes[~np.isfinite(gv)][0]
@@ -137,7 +138,7 @@ def integrate_semi_infinite_k_weight(
     scale = max(abs(total), 1e-300)
 
     # upper tail: one extra e-folding of the exponential weight as the scale
-    f_hi = abs(_point(g, nu, r_max))
+    f_hi = abs(_point(g, r_max, k_hi))
     if f_hi > 2e-12 * scale:
         warnings.warn(
             f"upper truncation at r_max={r_max} leaves an estimated relative tail "
@@ -147,7 +148,7 @@ def integrate_semi_infinite_k_weight(
         )
 
     # lower tail: f ~ C r^p below lo, so (0, lo / 100^k) holds T 100^(-k (p + 1))
-    f1, f2 = _point(g, nu, lo), _point(g, nu, 2.0 * lo)
+    f1, f2 = _point(g, lo, k_lo), _point(g, 2.0 * lo, k_2lo)
     if not (f1 > 0.0 and f2 > 0.0):
         return total
     p = math.log2(f2 / f1)
@@ -163,6 +164,6 @@ def integrate_semi_infinite_k_weight(
         return total
     k = min(math.ceil(math.log(tail / (1e-13 * scale), 100.0) / (p + 1.0)), int(math.log(lo / floor, 100.0)))
     if k > 0:
-        pn, pw = _k_weighted_grid(nu, lo / 100.0**k, lo, k, rule)
+        pn, pw, _ = _k_weighted_grid(nu, lo / 100.0**k, lo, k, rule)
         total += float(np.dot(pw, np.asarray(g(pn), dtype=float)))
     return total + tail * 100.0 ** (-k * (p + 1.0))

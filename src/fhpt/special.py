@@ -228,18 +228,23 @@ def _bessel_k_cf2(mu: float, x: float) -> tuple[float, float]:
 
 
 def _bessel_k_cf2_array(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _bessel_k_cf2 over an array.  Entries leave the iteration as they
-    # converge: the recurrence terms of an entry at large x keep growing past
-    # its own few steps and would overflow over the dozens that x near 2 needs.
+    # _bessel_k_cf2 over an array.  Each entry is recorded at its own first
+    # convergence, so its value does not depend on the other entries.  The
+    # fraction converges in fewer steps at larger x, so in ascending order the
+    # entries still iterating are a prefix, cut by slicing as it shrinks: the
+    # recurrence terms of an entry at large x keep growing past its own few
+    # steps and would overflow over the dozens that x near 2 needs.
+    pos = np.argsort(x)
     a1 = 0.25 - mu * mu
     a, c = -a1, a1
-    b = 2.0 * (1.0 + x)
+    b = 2.0 * (1.0 + x[pos])
     d = 1.0 / b
     h = delh = d
-    q1, q2, q = np.zeros_like(x), np.ones_like(x), np.full_like(x, a1)
+    q1, q2, q = np.zeros_like(b), np.ones_like(b), np.full_like(b, a1)
     s = 1.0 + q * delh
     h_out, s_out = np.empty_like(x), np.empty_like(x)
-    pos = np.arange(x.size)
+    live = np.ones(x.size, dtype=bool)
+    n = x.size
     for i in range(2, 40001):
         a -= 2.0 * (i - 1)
         c = -a * c / i
@@ -252,13 +257,16 @@ def _bessel_k_cf2_array(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
         h = h + delh
         dels = q * delh
         s = s + dels
-        done = np.abs(dels / s) < 1e-16
+        done = (np.abs(dels / s) < 1e-16) & live[:n]
         if done.any():
-            h_out[pos[done]], s_out[pos[done]] = h[done], s[done]
-            live = ~done
-            if not live.any():
+            at = pos[:n][done]
+            h_out[at], s_out[at] = h[done], s[done]
+            live[:n][done] = False
+            rest = np.flatnonzero(live[:n])
+            if rest.size == 0:
                 break
-            pos, b, d, h, delh, q1, q2, q, s = (v[live] for v in (pos, b, d, h, delh, q1, q2, q, s))
+            n = rest[-1] + 1
+            b, d, h, delh, q1, q2, q, s = (v[:n] for v in (b, d, h, delh, q1, q2, q, s))
     else:
         raise ConvergenceError("K continued fraction did not converge")
     k_mu = np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) / s_out

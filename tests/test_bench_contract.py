@@ -8,6 +8,7 @@ enters a span it expects; these tests name both faults at test time instead.
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,13 @@ def test_traced_requests_enter_every_expected_span(capsys):
     expected = _expected_spans()
     missing = {w: [s for s in expected[w] if not entries.get(s)] for w in ("verify-sweep", "verify-repeat", "cli-tables")}
     assert missing == {"verify-sweep": [], "verify-repeat": [], "cli-tables": []}
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.parent.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_committed_bench_record_is_complete(path):
+    # a committed benchmark record holds the command it ran, a summary and
+    # every run of both sides, and each run's outputs passed the oracle
+    record = json.loads(path.read_text())
+    assert {"command", "summary", "runs"} <= set(record)
+    assert {run["side"] for run in record["runs"]} == {"parent", "change"}
+    assert [run for run in record["runs"] if run["result"]["correct"] is not True] == []

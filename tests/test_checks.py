@@ -12,7 +12,7 @@ from fhpt.algebra import commutator_residual
 from fhpt.checks import CheckConfig, run_checks
 from fhpt.errors import DomainError
 from fhpt.model import PotentialParams, overlap, residual_ode
-from fhpt.quadrature import gauss_legendre
+from fhpt.quadrature import _k_weighted_grid, gauss_legendre
 
 EXPECTED_CHECKS = {
     "ode-residual",
@@ -120,23 +120,58 @@ def test_level_ranged_residuals_equal_per_level_calls(A):
             assert np.array_equal(residual(range(nmax + 1), p), single[: nmax + 1])
 
 
-def test_level_checks_run_one_recurrence_per_grid(monkeypatch):
-    # wrap every binding of gegenbauer_value in the fhpt modules, as the
-    # benchmark's span tracer does; the count must not grow with nmax.  The
-    # first run fills the Gauss-Legendre rule cache, whose Newton steps run
-    # the lam = 1/2 recurrence
-    run_checks(CheckConfig(nmax=10))
+def _record_calls(monkeypatch, name: str) -> list:
+    # wrap every binding of a special function in the fhpt modules, as the
+    # benchmark's span tracer does, and return the list of recorded calls
     calls = []
-    original = special.gegenbauer_value
-    for module in [m for name, m in sys.modules.items() if name == "fhpt" or name.startswith("fhpt.")]:
-        if getattr(module, "gegenbauer_value", None) is original:
-            monkeypatch.setattr(module, "gegenbauer_value", lambda *args: calls.append(args) or original(*args))
+    original = getattr(special, name)
+    for module in [m for key, m in sys.modules.items() if key == "fhpt" or key.startswith("fhpt.")]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_level_checks_run_one_recurrence_per_grid(monkeypatch):
+    # the count must not grow with nmax.  The first run fills the
+    # Gauss-Legendre rule cache, whose Newton steps run the lam = 1/2
+    # recurrence
+    run_checks(CheckConfig(nmax=10))
+    calls = _record_calls(monkeypatch, "gegenbauer_value")
     counts = []
     for nmax in (10, 45):
         calls.clear()
         run_checks(CheckConfig(nmax=nmax))
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 12
+
+
+def _warm_up_at_another_strength() -> None:
+    # fills the rule cache and leaves only the grids at A = 3 cached
+    _k_weighted_grid.cache_clear()
+    run_checks(CheckConfig(A=3.0))
+
+
+@pytest.mark.parametrize("A,grids", [(2.0, 3), (4.15, 3), (21.0, 2), (41.0, 2)])
+def test_cold_run_builds_one_grid_per_k_weighted_check(A, grids):
+    # identity-resolution and radial-closed-form each integrate on one cutoff;
+    # at small 2L a one-panel lower-tail grid is added
+    _warm_up_at_another_strength()
+    before = _k_weighted_grid.cache_info().misses
+    run_checks(CheckConfig(A=A))
+    assert _k_weighted_grid.cache_info().misses - before == grids
+
+
+@pytest.mark.parametrize("A,cold", [(2.0, 37), (21.0, 34)])
+def test_tail_probes_come_with_the_grid(monkeypatch, A, cold):
+    # 28 scalar K values belong to the Bessel checks; each cold grid adds its
+    # three tail probes once, and a warm run adds none
+    _warm_up_at_another_strength()
+    calls = _record_calls(monkeypatch, "bessel_k")
+    run_checks(CheckConfig(A=A))
+    assert len(calls) == cold
+    calls.clear()
+    run_checks(CheckConfig(A=A))
+    assert len(calls) == 28
 
 
 @pytest.mark.parametrize("nmax", [-1, 100, 1000, True, 2.0, "3"])

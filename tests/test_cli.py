@@ -384,7 +384,7 @@ casimir-constancy,casimir-invariant,7.105427357601002e-15,1e-12,true
 coherent-normalization,unit-weight-sum,6.428191312579656e-14,1e-12,true
 lowering-eigenstate,annihilation-eigenrelation,4.628570439118569e-16,1e-10,true
 identity-resolution,label-plane-completeness,3.3306690738754696e-15,1e-07,true
-radial-closed-form,k-weighted-moments,2.9605947323337506e-16,1e-09,true
+radial-closed-form,k-weighted-moments,4.2106236193191124e-16,1e-09,true
 bessel-wronskian,cross-product-identity,6.439293542825908e-15,1e-10,true
 half-order-bessel,elementary-closed-forms,7.513987692068883e-15,1e-12,true
 quadrature-exactness,polynomial-exactness,1.3877787807814457e-16,1e-12,true
@@ -491,7 +491,7 @@ bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
     {
       "name": "radial-closed-form",
       "identity": "k-weighted-moments",
-      "residual": 2.9605947323337506e-16,
+      "residual": 4.2106236193191124e-16,
       "tol": 1e-09,
       "pass": true
     },

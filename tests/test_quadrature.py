@@ -16,6 +16,7 @@ from fhpt.quadrature import (
     gauss_legendre,
     integrate_semi_infinite_k_weight,
 )
+from fhpt.special import _bessel_k_array, bessel_k
 
 
 def test_single_point_rule():
@@ -124,7 +125,7 @@ def test_k_weighted_rejects_bad_scale():
 def test_k_weighted_rejects_non_finite_integrand():
     # the message names the first bad node as a plain float
     rule = gauss_legendre(20)
-    nodes, _ = _k_weighted_grid(0.5, 1e-6, 30.0, 32, rule)
+    nodes, _, _ = _k_weighted_grid(0.5, 1e-6, 30.0, 32, rule)
     bad = float(nodes[nodes > 5.0][0])
     with pytest.raises(IntegrationError) as err:
         integrate_semi_infinite_k_weight(lambda r: np.where(r > 5.0, np.inf, r), 0.5, r_max=30.0, rule=rule)
@@ -138,5 +139,19 @@ def test_k_grid_cache_is_bounded():
         integrate_semi_infinite_k_weight(lambda r: r**3.0, 0.5 + 0.01 * k, r_max=30.0, rule=rule)
     info = _k_weighted_grid.cache_info()
     assert info.maxsize == 32 and info.currsize <= 32
-    nodes, wk = _k_weighted_grid(0.89, 1e-6, 30.0, 32, rule)
+    nodes, wk, _ = _k_weighted_grid(0.89, 1e-6, 30.0, 32, rule)
     assert _k_weighted_grid(0.89, 1e-6, 30.0, 32, rule)[1] is wk
+
+
+@pytest.mark.parametrize("nu,lo,hi,n_panels", [(3.0, 1e-6, 185.0, 32), (0.3, 1e-12, 1e-6, 3), (45.0, 0.0314, 940.0, 32)])
+def test_k_grid_matches_per_panel_assembly(nu, lo, hi, n_panels):
+    # the per-panel expressions the broadcast replaced, kept as the reference
+    rule = gauss_legendre(200)
+    edges = np.geomspace(lo, hi, n_panels + 1)
+    panels = list(zip(edges[:-1], edges[1:]))
+    ref_nodes = np.concatenate([0.5 * (l + h) + 0.5 * (h - l) * rule.nodes for l, h in panels])
+    ref_weights = np.concatenate([0.5 * (h - l) * rule.weights for l, h in panels])
+    nodes, wk, probes = _k_weighted_grid(nu, lo, hi, n_panels, rule)
+    assert np.array_equal(nodes, ref_nodes)
+    assert np.array_equal(wk, ref_weights * _bessel_k_array(nu, 2.0 * ref_nodes))
+    assert probes == (bessel_k(nu, 2.0 * hi), bessel_k(nu, 2.0 * lo), bessel_k(nu, 4.0 * lo))

@@ -13,6 +13,7 @@ from numpy.polynomial import polynomial as npoly
 from fhpt.errors import DomainError
 from fhpt.special import (
     _bessel_k_array,
+    _bessel_k_cf2_array,
     bessel_i,
     bessel_k,
     gegenbauer_poly,
@@ -233,6 +234,23 @@ def test_bessel_k_array_matches_mpmath_and_scalar(nu):
     assert np.max(np.abs(got - ref)[normal] / ref[normal]) < 1e-14
     assert np.max(np.abs(got - scalar)[normal] / ref[normal]) < 1e-14
     assert np.all(got[~normal] < 1e-290)
+
+
+@pytest.mark.parametrize("mu", [-0.5, -0.21, 0.0, 5e-5, 0.37, 0.5])
+def test_cf2_array_entries_freeze_at_their_own_convergence(mu):
+    # each entry leaves the fraction at its own first convergence, so it
+    # equals the one-entry call and does not depend on the order of the input
+    x = np.random.default_rng(7).permutation(np.geomspace(1.2, 700.0, 157))  # crosses x = 2
+    got = _bessel_k_cf2_array(mu, x)
+    for i in range(x.size):
+        one = _bessel_k_cf2_array(mu, x[i : i + 1])
+        assert np.array_equal(got[0][i : i + 1], one[0]) and np.array_equal(got[1][i : i + 1], one[1]), x[i]
+    order = np.argsort(x)
+    on_sorted = _bessel_k_cf2_array(mu, x[order])
+    for part, sorted_part in zip(got, on_sorted):
+        back = np.empty_like(sorted_part)
+        back[order] = sorted_part
+        assert np.array_equal(part, back)
 
 
 def test_bessel_k_array_overflow_matches_scalar():
