@@ -102,7 +102,8 @@ def commutator_residual(n, params: PotentialParams) -> float | np.ndarray:
     to 2 (n + L + 1/2) psi_n on a tau grid; returns the max deviation scaled by
     max |psi_n|, or one such residual per level for a sequence of levels.
     """
-    k, y, cq, psi, u, du, d2u = _grid_rows(n, params, 201)
+    states, y, cq, psi, u, du, d2u = _grid_rows(n, params, 201)
+    k = np.array([s.n for s in states])[:, None]
     L, lam = params.L, params.L + 0.5
     w = 1.0 - y * y
 

@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import apply_lowering, apply_raising, casimir_eigenvalue, commutator_residual, ladder_coefficients
 from .coherent import _diagonal_moments, build_coherent_state, lowering_eigenstate_residual, radial_weight_moment
 from .errors import DomainError, _check_int
-from .model import _MAX_LEVEL, PotentialParams, _grid_rows, build_basis_state, momentum_level, overlap, residual_ode
+from .model import _MAX_LEVEL, PotentialParams, _grid_rows, momentum_level, overlap, residual_ode
 from .quadrature import _MAX_ORDER, default_r_max, gauss_legendre, integrate_semi_infinite_k_weight
 from .special import bessel_i, bessel_k
 
@@ -121,12 +121,11 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     checks.append(_result("gram-identity", "basis-orthonormality", np.max(np.abs(gram - np.eye(len(levels)))), 1e-10, ov))
     checks.append(_result("gram-order-doubling", "quadrature-convergence", np.max(np.abs(gram - gram2)), 1e-12, ov))
 
-    # ladder maps against their eigenvalue relations, from one set of rows of
-    # levels 0..nmax+1; row 0 of the lowering images is the ground level's
-    _, y, _, psi, u, du, _ = _grid_rows(range(config.nmax + 2), config, 101)
-    states = [build_basis_state(n, config) for n in levels]
-    up = apply_raising(states)(y, (u[:-1], du[:-1]))
-    dn = apply_lowering(states)(y, (u[:-1], du[:-1]))
+    # ladder maps against their eigenvalue relations, from one set of states and
+    # rows of levels 0..nmax+1; row 0 of the lowering images is the ground level's
+    states, y, _, psi, u, du, _ = _grid_rows(range(config.nmax + 2), config, 101)
+    up = apply_raising(states[:-1])(y, (u[:-1], du[:-1]))
+    dn = apply_lowering(states[:-1])(y, (u[:-1], du[:-1]))
     target_up = np.array([ladder_coefficients(n, L).raise_eig for n in levels])[:, None] * psi[1:]
     target_dn = np.array([ladder_coefficients(n, L).lower_eig for n in levels[1:]])[:, None] * psi[:-2]
     worst_up = (np.max(np.abs(up - target_up), axis=1) / np.max(np.abs(target_up), axis=1)).max(initial=0.0)
@@ -142,28 +141,24 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     r = max(abs(casimir_eigenvalue(n, config) - cas) for n in range(21))
     checks.append(_result("casimir-constancy", "casimir-invariant", r, 1e-12, ov))
 
-    # coherent states: weight normalization and the annihilation eigenrelation
-    r = 0.0
-    for z in (0.5 + 0.0j, 2.0 + 0.0j, 5.0 + 0.0j):
-        cs = build_coherent_state(z, config)
-        r = max(r, abs(1.0 - cs.norm_sq))
+    # coherent states, each label built once: the first three are normalized
+    # and the last three are annihilation eigenstates
+    coherent = [build_coherent_state(z, config) for z in (2.0, 5.0, 0.5, 1.0 + 1.0j, 3.0 * np.exp(0.25j * np.pi))]
+    r = max(abs(1.0 - cs.norm_sq) for cs in coherent[:3])
     checks.append(_result("coherent-normalization", "unit-weight-sum", r, 1e-12, ov))
-
-    r = 0.0
-    for z in (0.5 + 0.0j, 1.0 + 1.0j, 3.0 * np.exp(0.25j * np.pi)):
-        cs = build_coherent_state(z, config)
-        r = max(r, lowering_eigenstate_residual(cs))
+    r = max(lowering_eigenstate_residual(cs) for cs in coherent[2:])
     checks.append(_result("lowering-eigenstate", "annihilation-eigenrelation", r, 1e-10, ov))
 
     # completeness over the label plane: diagonal moments equal 1
-    moments, _ = _diagonal_moments(config.nmax, config, rule)
+    moments, r_max = _diagonal_moments(config.nmax, config, rule)
     r = max(abs(v - 1.0) for v in moments)
     checks.append(_result("identity-resolution", "label-plane-completeness", r, 1e-7, ov))
 
-    # the moments share one cutoff, taken at the top one's degree, so that they integrate against one K-grid
+    # the same moment family at three degrees, on the larger of the two cutoffs,
+    # so that from nmax = 7 up both checks integrate against one K-grid
     r = 0.0
     degrees = [2.0 * k + 2.0 * L + 1.0 for k in (0, 3, 7)]
-    r_max = default_r_max(degrees[-1])
+    r_max = max(r_max, default_r_max(degrees[-1]))
     for mu in degrees:
         closed = radial_weight_moment(mu, 2.0 * L)
         quad = integrate_semi_infinite_k_weight(lambda rr, m=mu: rr**m, 2.0 * L, r_max=r_max, rule=rule)

@@ -213,15 +213,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 _WELL_HELP = {
-    "A": "well strength (default 2.0)",
-    "c1": "time-scaling frequency (default 1.0)",
-    "m0": "mass parameter (default 0.5, natural units)",
-    "c": "speed scale (default 1.0)",
-    "hbar": "action scale (default 1.0)",
+    "A": "well strength (default %(default)s)",
+    "c1": "time-scaling frequency (default %(default)s)",
+    "m0": "mass parameter (default %(default)s, natural units)",
+    "c": "speed scale (default %(default)s)",
+    "hbar": "action scale (default %(default)s)",
 }
 # the options that more than one command takes
 _SHARED = {
-    "--nmax": {"type": int, "default": CheckConfig.nmax, "help": "highest level (default 10)"},
+    "--nmax": {"type": int, "default": CheckConfig.nmax, "help": "highest level (default %(default)s)"},
     "--quad-order": {"type": int, "default": CheckConfig.quad_order, "help": "panel rule order"},
     "--z": {"default": "1", "help": "complex label, 'a+bi' or polar 'r@theta'"},
     "--tail-tol": {"type": float, "default": 1e-13, "help": "dropped-weight bound"},
@@ -254,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     _command(sub, "spectrum", _cmd_spectrum, "momentum eigenvalues by level", "--nmax")
     p = _command(sub, "wavefunction", _cmd_wavefunction, "sample one normalized state on a tau grid")
-    p.add_argument("--n", type=int, default=0, help="level index (default 0)")
+    p.add_argument("--n", type=int, default=0, help="level index (default %(default)s)")
     p.add_argument("--samples", type=int, default=201, help="number of interior grid points")
     p.add_argument("--interval", choices=("full", "half"), default="full", help="normalization convention")
     _command(sub, "coherent", _cmd_coherent, "coefficient table of a coherent superposition", "--z", "--tail-tol")

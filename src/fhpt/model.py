@@ -192,14 +192,14 @@ def eval_state(states, tau) -> np.ndarray | float:
 
 
 def _grid_rows(n, params: PotentialParams, points: int):
-    # level(s) n on `points` tau points 0.05 inside the interval ends: the levels as a column, y = sin(tau),
+    # level(s) n on `points` tau points 0.05 inside the interval ends: the basis states, y = sin(tau),
     # cos(tau), psi, and scale * C_n^lam(y) with its first two y-derivatives, one row per level
     tau = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, points)
-    levels = [n] if np.ndim(n) == 0 else list(n)
+    states = [build_basis_state(k, params) for k in ([n] if np.ndim(n) == 0 else n)]
     y, cq = np.sin(tau), np.cos(tau)
-    scale, (c, dc, d2c) = _poly_derivatives([build_basis_state(k, params) for k in levels], y, 2)
+    scale, (c, dc, d2c) = _poly_derivatives(states, y, 2)
     psi = scale * cq ** (params.L + 0.5) * c
-    return np.array(levels)[:, None], y, cq, psi, scale * c, scale * dc, scale * d2c
+    return states, y, cq, psi, scale * c, scale * dc, scale * d2c
 
 
 def residual_ode(n, params: PotentialParams, momentum: float | None = None) -> float | np.ndarray:
@@ -212,12 +212,12 @@ def residual_ode(n, params: PotentialParams, momentum: float | None = None) -> f
     the interval ends where sec^2 amplifies roundoff.  A sequence of levels
     gives one residual per level.
     """
-    k, y, cq, psi, u, du, d2u = _grid_rows(n, params, 401)
+    states, y, cq, psi, u, du, d2u = _grid_rows(n, params, 401)
     M, lam = params.mass_scale, params.L + 0.5
     # psi'' in tau via the chain rule on the envelope-times-polynomial form
     core = cq**lam * ((1.0 - y * y) * d2u - (2.0 * lam + 1.0) * y * du - lam * lam * u)
     d2 = core + lam * (lam - 1.0) * cq ** (lam - 2.0) * u
-    P = momentum_level(k[:, 0], params)[:, None] if momentum is None else float(momentum)
+    P = momentum_level([s.n for s in states], params)[:, None] if momentum is None else float(momentum)
     res = params.c1**2 * d2 + (params.c / M) * P * psi - params.A * (params.A - 1.0) / M * (1.0 / cq**2) * psi
     return _one_or_rows(n, np.max(np.abs(res), axis=1) / np.max(np.abs(psi), axis=1))
 

@@ -130,7 +130,9 @@ def integrate_semi_infinite_k_weight(
         raise DomainError(f"r_max must exceed the inner mesh edge {lo!r}, got {r_max!r}")
 
     nodes, wk, (k_hi, k_lo, k_2lo) = _k_weighted_grid(nu, lo, r_max, 32, rule)
-    gv = np.asarray(g(nodes), dtype=float)
+    # a value that overflows is rejected below with its node, so numpy's warning would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        gv = np.asarray(g(nodes), dtype=float)
     if not np.all(np.isfinite(gv)):
         bad = nodes[~np.isfinite(gv)][0]
         raise IntegrationError(f"integrand returned a non-finite value at node {float(bad)!r}")

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from fhpt import model, special
+from fhpt import coherent, model, special
 from fhpt.algebra import commutator_residual
 from fhpt.checks import CheckConfig, run_checks
 from fhpt.errors import DomainError
@@ -120,11 +120,11 @@ def test_level_ranged_residuals_equal_per_level_calls(A):
             assert np.array_equal(residual(range(nmax + 1), p), single[: nmax + 1])
 
 
-def _record_calls(monkeypatch, name: str) -> list:
-    # wrap every binding of a special function in the fhpt modules, as the
+def _record_calls(monkeypatch, name: str, source=special) -> list:
+    # wrap every binding of a function of `source` in the fhpt modules, as the
     # benchmark's span tracer does, and return the list of recorded calls
     calls = []
-    original = getattr(special, name)
+    original = getattr(source, name)
     for module in [m for key, m in sys.modules.items() if key == "fhpt" or key.startswith("fhpt.")]:
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
@@ -151,17 +151,27 @@ def _warm_up_at_another_strength() -> None:
     run_checks(CheckConfig(A=3.0))
 
 
-@pytest.mark.parametrize("A,grids", [(2.0, 3), (4.15, 3), (21.0, 2), (41.0, 2)])
-def test_cold_run_builds_one_grid_per_k_weighted_check(A, grids):
-    # identity-resolution and radial-closed-form each integrate on one cutoff;
-    # at small 2L a one-panel lower-tail grid is added
+@pytest.mark.parametrize("A,nmax,grids", [(2.0, 10, 2), (4.15, 10, 2), (21.0, 10, 1), (41.0, 10, 1), (21.0, 6, 2)])
+def test_cold_run_builds_one_grid_per_well(A, nmax, grids):
+    # from nmax = 7 up, radial-closed-form integrates on identity-resolution's
+    # cutoff and grid, below it on its own larger one; at small 2L a one-panel
+    # lower-tail grid is added
     _warm_up_at_another_strength()
     before = _k_weighted_grid.cache_info().misses
-    run_checks(CheckConfig(A=A))
+    run_checks(CheckConfig(A=A, nmax=nmax))
     assert _k_weighted_grid.cache_info().misses - before == grids
 
 
-@pytest.mark.parametrize("A,cold", [(2.0, 37), (21.0, 34)])
+def test_default_run_builds_each_state_once(monkeypatch):
+    # 11 basis states each for ode-residual, commutator and the two Gram rules, and 12 for the ladder
+    # checks; five distinct coherent labels
+    basis = _record_calls(monkeypatch, "build_basis_state", model)
+    labels = _record_calls(monkeypatch, "build_coherent_state", coherent)
+    run_checks()
+    assert (len(basis), len(labels)) == (56, 5)
+
+
+@pytest.mark.parametrize("A,cold", [(2.0, 34), (21.0, 31)])
 def test_tail_probes_come_with_the_grid(monkeypatch, A, cold):
     # 28 scalar K values belong to the Bessel checks; each cold grid adds its
     # three tail probes once, and a warm run adds none

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -822,6 +823,16 @@ def test_out_of_range_inputs_exit_two(command, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["resolution --A 100", "verify --A 45", "verify --A 45 --nmax 0", "verify --A 23 --nmax 30"])
+def test_moment_overflow_ends_in_one_stderr_line(command, capsys):
+    # r^degree overflows on the upper panels; numpy's own warning, with a source path, used to come first
+    assert main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: integrand returned a non-finite value at node ")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_covers_thirty_levels():
     res = run_cli("verify", "--A", "2", "--nmax", "30")
     assert res.returncode == 0, res.stderr
@@ -851,6 +862,18 @@ def test_parsed_defaults_of_every_command(command):
     parsed = vars(cli._build_parser().parse_args([command]))
     assert parsed.pop("func").__name__ == f"_cmd_{command}"
     assert parsed == {"command": command, **WELL_DEFAULTS, **PARSED_DEFAULTS[command]}
+
+
+@pytest.mark.parametrize("command", list(PARSED_DEFAULTS))
+def test_help_states_the_parsed_defaults(command, capsys, monkeypatch):
+    # a wide terminal keeps each option's help on its own line, or on the next one after a long flag
+    monkeypatch.setenv("COLUMNS", "200")
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    stated = dict(re.findall(r"^  --([\w-]+) \S+\s+(?!-)[^\n]*?\(default ([^,)]+)", out, re.M))
+    parsed = vars(cli._build_parser().parse_args([command]))
+    assert len(stated) == out.count("(default") >= 5
+    assert {flag: str(parsed[flag.replace("-", "_")]) for flag in stated} == stated
 
 
 def test_verify_words_its_shared_options_for_the_checks(capsys):

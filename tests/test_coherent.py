@@ -15,7 +15,7 @@ from fhpt.coherent import (
     radial_weight_moment,
     resolution_of_identity_check,
 )
-from fhpt.errors import DomainError
+from fhpt.errors import DomainError, IntegrationError
 from fhpt.model import PotentialParams
 from fhpt.quadrature import default_r_max, gauss_legendre
 
@@ -161,6 +161,14 @@ def test_resolution_off_diagonal_vanishes():
     rule = gauss_legendre(200)
     assert resolution_of_identity_check(2, 5, p, rule=rule, r_max=_level_r_max(2, p)) == 0.0
     assert resolution_of_identity_check(5, 2, p, rule=rule, r_max=_level_r_max(5, p)) == 0.0
+
+
+def test_resolution_past_the_overflow_wall_raises_without_a_warning():
+    # at 2L = 199 the moment r^200 overflows on the upper panels; pytest turns a stray
+    # RuntimeWarning into an error, so this passes only when the node check speaks alone
+    p = PotentialParams(A=100.0)
+    with pytest.raises(IntegrationError, match="integrand returned a non-finite value at node "):
+        resolution_of_identity_check(0, 0, p, rule=gauss_legendre(200), r_max=_level_r_max(0, p))
 
 
 def test_resolution_rejects_bad_levels():
