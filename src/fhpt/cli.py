@@ -6,7 +6,7 @@ so identical invocations produce byte-identical output; progress and
 diagnostics go to stderr.
 
 Exit codes: 0 on success, 1 when verify finds a failing check, 2 for usage
-and domain errors.
+and domain errors and for an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DomainError, OverflowError) as exc:
+    except (DomainError, OverflowError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, ConvergenceError) as exc:

@@ -6,10 +6,11 @@ and the modified Bessel pair I_nu, K_nu of real order.  The public functions
 take scalars; a private array kernel evaluates K_nu of one order over a whole
 quadrature grid.
 
-K_nu has two regimes (Temme, J. Comput. Phys. 19 (1975) 324; Numerical
-Recipes section 6.7): with nu = nl + mu, |mu| <= 1/2, Temme's series gives
-K_mu and K_{mu+1} for x <= 2 and Steed's continued fraction for x > 2, and
-upward recurrence carries the pair to nu.  Both are uniform in the order,
+K_nu has two regimes.  With nu = nl + mu, |mu| <= 1/2, Temme's series
+(J. Comput. Phys. 19 (1975) 324; Numerical Recipes section 6.7) gives K_mu
+and K_{mu+1} for x <= 2.  For x > 2 a fixed 22-node trapezoid sum of the
+integral representation (DLMF 10.32.9) gives them, to rounding.  Upward
+recurrence carries the pair to nu.  Both regimes are uniform in the order,
 so integer and near-integer orders need no special case.
 
 Only numpy and the standard library are imported.  Identities follow the
@@ -120,15 +121,16 @@ def bessel_i(nu: float, x: float) -> float:
     space, so extreme (nu, x) corners neither overflow nor flush to zero
     early: only the final product can fall below the normal double range,
     and it is 0.0 only where I_nu(x) itself underflows.  Raises OverflowError
-    above the range, near x ~ 713.
+    above the range, near x ~ 713, and for x = inf; DomainError for NaN or an
+    infinite order.
     """
-    if nu < 0.0:
-        raise DomainError(f"bessel_i requires nu >= 0, got {nu!r}")
-    if x < 0.0:
+    if not 0.0 <= nu < math.inf:
+        raise DomainError(f"bessel_i requires a finite nu >= 0, got {nu!r}")
+    if not x >= 0.0:
         raise DomainError(f"bessel_i requires x >= 0, got {x!r}")
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
-    if x - 0.5 * math.log(2.0 * math.pi * x) > _OVERFLOW_LOG:
+    if not x - 0.5 * math.log(2.0 * math.pi * x) <= _OVERFLOW_LOG:  # inf - inf is NaN
         raise OverflowError(f"I_{nu}({x}) exceeds the double range")
     log_t0, total = _bessel_i_series(nu, x)
     return math.exp(log_t0) * total
@@ -195,82 +197,28 @@ def _k_temme(mu: float, x):
     return k_mu, k_mu1 / half_x
 
 
-def _bessel_k_cf2(mu: float, x: float) -> tuple[float, float]:
-    # Steed/Thompson-Barnett continued fraction for K_mu, K_{mu+1}, x >= 2,
-    # |mu| <= 1/2.  Converges in a few dozen iterations over the whole range.
-    mu2 = mu * mu
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1, q2 = 0.0, 1.0
-    a1 = 0.25 - mu2
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, 40001):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) < 1e-16:
-            break
-    else:
-        raise ConvergenceError("K continued fraction did not converge")
-    k_mu = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
-    return k_mu, k_mu * (mu + x + 0.5 - a1 * h) / x
+# Trapezoid rule, step 0.3 on s = 0 ... 6.3, for DLMF 10.32.9 with s = sqrt(2x) sinh(t/2):
+#   K_mu(x) = e^-x int_0^inf e^(-s^2) cosh(2 mu asinh(s/sqrt(2x))) 2/sqrt(2x+s^2) ds.
+# Nodes are kept as c = s/sqrt(2), so that sqrt(2x+s^2) = sqrt(2) sqrt(x+c^2) never
+# forms 2x, and run from the far end so the smallest terms are summed first.
+_TRAP = tuple((0.3 * k / math.sqrt(2.0), (0.3 if k else 0.15) * math.sqrt(2.0) * math.exp(-0.09 * k * k))
+              for k in range(21, -1, -1))
 
 
-def _bessel_k_cf2_array(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _bessel_k_cf2 over an array.  Each entry is recorded at its own first
-    # convergence, so its value does not depend on the other entries.  The
-    # fraction converges in fewer steps at larger x, so in ascending order the
-    # entries still iterating are a prefix, cut by slicing as it shrinks: the
-    # recurrence terms of an entry at large x keep growing past its own few
-    # steps and would overflow over the dozens that x near 2 needs.
-    pos = np.argsort(x)
-    a1 = 0.25 - mu * mu
-    a, c = -a1, a1
-    b = 2.0 * (1.0 + x[pos])
-    d = 1.0 / b
-    h = delh = d
-    q1, q2, q = np.zeros_like(b), np.ones_like(b), np.full_like(b, a1)
-    s = 1.0 + q * delh
-    h_out, s_out = np.empty_like(x), np.empty_like(x)
-    live = np.ones(x.size, dtype=bool)
-    n = x.size
-    for i in range(2, 40001):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        q = q + c * qnew
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h = h + delh
-        dels = q * delh
-        s = s + dels
-        done = (np.abs(dels / s) < 1e-16) & live[:n]
-        if done.any():
-            at = pos[:n][done]
-            h_out[at], s_out[at] = h[done], s[done]
-            live[:n][done] = False
-            rest = np.flatnonzero(live[:n])
-            if rest.size == 0:
-                break
-            n = rest[-1] + 1
-            b, d, h, delh, q1, q2, q, s = (v[:n] for v in (b, d, h, delh, q1, q2, q, s))
-    else:
-        raise ConvergenceError("K continued fraction did not converge")
-    k_mu = np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) / s_out
-    return k_mu, k_mu * (mu + x + 0.5 - a1 * h_out) / x
+def _k_trapezoid(mu: float, x):
+    # K_mu, K_{mu+1} for x > 2, |mu| <= 1/2, x a float or an ndarray (entrywise).
+    # The integrand's singularities s = +-i sqrt(2x) lie over 2 off the real
+    # axis, so the sum is exact to rounding (Trefethen & Weideman, SIAM Rev. 2014).
+    xp = np if isinstance(x, np.ndarray) else math
+    root_x = xp.sqrt(x)
+    k_mu = k_mu1 = 0.0
+    for c, w in _TRAP:
+        g = w / xp.sqrt(x + c * c)
+        t = 2.0 * xp.asinh(c / root_x)
+        k_mu = k_mu + g * xp.cosh(mu * t)
+        k_mu1 = k_mu1 + g * xp.cosh((mu + 1.0) * t)
+    e = xp.exp(-x)
+    return e * k_mu, e * k_mu1
 
 
 def _k_upward(nl: int, mu: float, x, k_mu, k_mu1):
@@ -284,9 +232,12 @@ def _k_upward(nl: int, mu: float, x, k_mu, k_mu1):
 
 
 def _k_order(nu: float, x_min: float) -> tuple[int, float]:
-    # Order set-up shared by both K kernels: nu = nl + mu with |mu| <= 1/2,
-    # once K_nu at the smallest argument is known to fit the double range
-    # (small-x magnitude estimate ~ Gamma(nu)/2 * (2/x)^nu).
+    # Order set-up shared by both K kernels: |nu| = nl + mu with |mu| <= 1/2 (K
+    # is even in its order), once K_nu at the smallest argument is known to fit
+    # the double range (small-x magnitude estimate ~ Gamma(nu)/2 * (2/x)^nu).
+    nu = abs(nu)
+    if not nu < math.inf:
+        raise DomainError(f"bessel_k requires a finite order, got {nu!r}")
     if x_min < 2.0 and nu > 0.0 and math.lgamma(nu) - math.log(2.0) + nu * math.log(2.0 / x_min) > _OVERFLOW_LOG:
         raise OverflowError(f"K_{nu}({x_min}) exceeds the double range")
     nl = int(nu + 0.5)
@@ -294,19 +245,19 @@ def _k_order(nu: float, x_min: float) -> tuple[int, float]:
 
 
 def bessel_k(nu: float, x: float) -> float:
-    """K_nu(x) for real order, x > 0.
+    """K_nu(x) for finite real order and x > 0.
 
-    K_mu and K_{mu+1}, |mu| <= 1/2, come from Temme's series for x <= 2 or
-    the Steed continued fraction for x > 2, and upward recurrence carries
-    them to nu; both regimes hold for any mu, integer or not.  Underflows quietly to 0.0 for x beyond ~745 (useful as a quadrature
-    weight tail); raises OverflowError where the value itself exceeds the
-    double range (small x with large order).
+    K_mu and K_{mu+1}, |mu| <= 1/2, come from Temme's series for x <= 2 or a
+    fixed trapezoid sum of their integral for x > 2, and upward recurrence
+    carries them to nu; both hold for any mu, integer or not.  The value
+    underflows quietly to 0.0 from x ~ 745 on, x = inf included, so it can
+    serve as a quadrature weight tail.  Raises OverflowError where the value
+    exceeds the double range (small x, large order), DomainError for NaN.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"bessel_k requires x > 0, got {x!r}")
-    nu = abs(nu)  # K is even in its order
     nl, mu = _k_order(nu, x)
-    k_mu, k_mu1 = _bessel_k_cf2(mu, x) if x > 2.0 else _k_temme(mu, x)
+    k_mu, k_mu1 = _k_trapezoid(mu, x) if x > 2.0 else _k_temme(mu, x)
     return _k_upward(nl, mu, x, k_mu, k_mu1)
 
 
@@ -315,12 +266,9 @@ def _bessel_k_array(nu: float, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0.0):
         raise DomainError("bessel_k requires x > 0")
-    nu = abs(nu)
     nl, mu = _k_order(nu, float(x.min()))
     k_mu, k_mu1 = np.empty_like(x), np.empty_like(x)
     small = x <= 2.0
-    if small.any():
-        k_mu[small], k_mu1[small] = _k_temme(mu, x[small])
-    if not small.all():
-        k_mu[~small], k_mu1[~small] = _bessel_k_cf2_array(mu, x[~small])
+    k_mu[small], k_mu1[small] = _k_temme(mu, x[small])
+    k_mu[~small], k_mu1[~small] = _k_trapezoid(mu, x[~small])
     return _k_upward(nl, mu, x, k_mu, k_mu1)

@@ -140,7 +140,7 @@ n,weight,phase
 # nmax=1
 # quad_order=40
 n,value,deviation
-0,0.9999999999999999,1.1102230246251565e-16
+0,0.9999999999999996,4.440892098500626e-16
 1,1.0000000000000009,8.881784197001252e-16
 # r_max=65.0
 # max_abs_deviation=8.881784197001252e-16
@@ -272,8 +272,8 @@ weight_sum,0.9999999999395892
   "rows": [
     [
       0,
-      0.9999999999999999,
-      1.1102230246251565e-16
+      0.9999999999999996,
+      4.440892098500626e-16
     ],
     [
       1,
@@ -831,6 +831,27 @@ def test_moment_overflow_ends_in_one_stderr_line(command, capsys):
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: integrand returned a non-finite value at node ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify --nmax 2 --quad-order 40"])
+@pytest.mark.parametrize("where", ["missing/dir/out.csv", "."])
+def test_unwritable_out_exits_two(command, where, tmp_path, capsys):
+    # a missing directory or a directory path ended in an uncaught OSError traceback with exit 1
+    assert main([*command.split(), "--out", str(tmp_path / where)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("error: [Errno ") and str(tmp_path) in last
+    assert captured.err.count("error:") == 1
+
+
+@pytest.mark.parametrize("command", ["coherent", "expect"])
+def test_label_past_the_double_range_exits_two(command, capsys):
+    # 2|z| overflows to inf, which ended in "bessel_i series did not converge"
+    assert main([command, "--z", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: I_3.0(inf) exceeds the double range\n"
 
 
 def test_verify_covers_thirty_levels():

@@ -2,6 +2,8 @@
 independent implementations (scipy / mpmath are test-only oracles)."""
 
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -13,7 +15,7 @@ from numpy.polynomial import polynomial as npoly
 from fhpt.errors import DomainError
 from fhpt.special import (
     _bessel_k_array,
-    _bessel_k_cf2_array,
+    _k_trapezoid,
     bessel_i,
     bessel_k,
     gegenbauer_poly,
@@ -178,10 +180,14 @@ def test_bessel_i_overflow_guard():
 
 
 def test_bessel_i_domain():
-    with pytest.raises(DomainError):
-        bessel_i(-1.0, 2.0)
-    with pytest.raises(DomainError):
-        bessel_i(1.0, -2.0)
+    for nu, x in ((-1.0, 2.0), (1.0, -2.0), (1.0, math.nan), (math.nan, 2.0), (math.inf, 2.0)):
+        with pytest.raises(DomainError):
+            bessel_i(nu, x)
+
+
+def test_bessel_i_infinite_argument_exceeds_the_range():
+    with pytest.raises(OverflowError, match="exceeds the double range"):
+        bessel_i(2.0, math.inf)
 
 
 # modified Bessel, second kind
@@ -236,21 +242,47 @@ def test_bessel_k_array_matches_mpmath_and_scalar(nu):
     assert np.all(got[~normal] < 1e-290)
 
 
-@pytest.mark.parametrize("mu", [-0.5, -0.21, 0.0, 5e-5, 0.37, 0.5])
-def test_cf2_array_entries_freeze_at_their_own_convergence(mu):
-    # each entry leaves the fraction at its own first convergence, so it
-    # equals the one-entry call and does not depend on the order of the input
-    x = np.random.default_rng(7).permutation(np.geomspace(1.2, 700.0, 157))  # crosses x = 2
-    got = _bessel_k_cf2_array(mu, x)
+_MUS = [-0.5, -0.21, 0.0, 5e-5, 0.37, 0.5]
+
+
+@pytest.mark.parametrize("mu", _MUS)
+def test_trapezoid_entries_do_not_depend_on_the_rest_of_the_array(mu):
+    # each entry equals the one-entry call and does not depend on the order of the input
+    x = np.random.default_rng(7).permutation(np.geomspace(1.2, 700.0, 157))
+    x = x[x > 2.0]
+    got = _k_trapezoid(mu, x)
     for i in range(x.size):
-        one = _bessel_k_cf2_array(mu, x[i : i + 1])
+        one = _k_trapezoid(mu, x[i : i + 1])
         assert np.array_equal(got[0][i : i + 1], one[0]) and np.array_equal(got[1][i : i + 1], one[1]), x[i]
     order = np.argsort(x)
-    on_sorted = _bessel_k_cf2_array(mu, x[order])
+    on_sorted = _k_trapezoid(mu, x[order])
     for part, sorted_part in zip(got, on_sorted):
         back = np.empty_like(sorted_part)
         back[order] = sorted_part
         assert np.array_equal(part, back)
+
+
+@pytest.mark.parametrize("mu", _MUS)
+def test_trapezoid_pair_matches_mpmath(mu):
+    # K_mu and K_(mu+1) from just above x = 2 to where they leave the normal
+    # range; 25 digits keep mpmath's slow integer-order limit affordable
+    x = np.concatenate(([2.0000001, 2.001, 2.1], np.geomspace(2.2, 745.0, 160)))
+    scalar = np.array([_k_trapezoid(mu, float(xi)) for xi in x]).T
+    for k, got, one in zip((mu, mu + 1.0), _k_trapezoid(mu, x), scalar):
+        with mpmath.workdps(25):
+            ref = np.array([float(mpmath.besselk(k, xi)) for xi in x])
+        normal = ref > sys.float_info.min
+        assert np.max(np.abs(got - ref)[normal] / ref[normal]) < 1e-15
+        assert np.max(np.abs(one - ref)[normal] / ref[normal]) < 1e-15
+
+
+def test_bessel_k_is_zero_without_a_warning_past_the_double_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (745.0, 1e300, 1e308, sys.float_info.max, math.inf):
+            for nu in (0.0, 0.3, 2.5, 40.0):
+                assert bessel_k(nu, x) == 0.0, (nu, x)
+                assert _bessel_k_array(nu, np.array([3.0, x]))[1] == 0.0, (nu, x)
 
 
 def test_bessel_k_array_overflow_matches_scalar():
@@ -286,10 +318,11 @@ def test_bessel_k_small_argument_overflow():
 
 
 def test_bessel_k_domain():
+    for nu, x in ((1.0, 0.0), (1.0, -3.0), (1.0, math.nan), (math.nan, 3.0), (math.inf, 3.0), (-math.inf, 0.5)):
+        with pytest.raises(DomainError):
+            bessel_k(nu, x)
     with pytest.raises(DomainError):
-        bessel_k(1.0, 0.0)
-    with pytest.raises(DomainError):
-        bessel_k(1.0, -3.0)
+        _bessel_k_array(math.nan, np.array([1.0, 3.0]))
 
 
 def test_bessel_wronskian():
