@@ -92,7 +92,10 @@ def _write(
             lines.append(f"# {k}={_fmt_cell(v)}")
         text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:  # a missing directory, a directory path, no permission
+            raise DomainError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -278,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DomainError, OverflowError, OSError) as exc:  # OSError: an --out path that cannot be written
+    except (DomainError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, ConvergenceError) as exc:

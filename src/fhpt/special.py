@@ -207,14 +207,14 @@ _TRAP = tuple((0.3 * k / math.sqrt(2.0), (0.3 if k else 0.15) * math.sqrt(2.0) *
 
 def _k_trapezoid(mu: float, x):
     # K_mu, K_{mu+1} for x > 2, |mu| <= 1/2, x a float or an ndarray (entrywise).
-    # The integrand's singularities s = +-i sqrt(2x) lie over 2 off the real
-    # axis, so the sum is exact to rounding (Trefethen & Weideman, SIAM Rev. 2014).
-    xp = np if isinstance(x, np.ndarray) else math
+    # The integrand's singularities s = +-i sqrt(2x) lie over 2 off the real axis,
+    # so the sum is exact to rounding (Trefethen & Weideman, SIAM Rev. 2014).
+    xp, asinh = (np, np.arcsinh) if isinstance(x, np.ndarray) else (math, math.asinh)  # no np.asinh before numpy 2
     root_x = xp.sqrt(x)
     k_mu = k_mu1 = 0.0
     for c, w in _TRAP:
         g = w / xp.sqrt(x + c * c)
-        t = 2.0 * xp.asinh(c / root_x)
+        t = 2.0 * asinh(c / root_x)
         k_mu = k_mu + g * xp.cosh(mu * t)
         k_mu1 = k_mu1 + g * xp.cosh((mu + 1.0) * t)
     e = xp.exp(-x)
@@ -248,11 +248,10 @@ def bessel_k(nu: float, x: float) -> float:
     """K_nu(x) for finite real order and x > 0.
 
     K_mu and K_{mu+1}, |mu| <= 1/2, come from Temme's series for x <= 2 or a
-    fixed trapezoid sum of their integral for x > 2, and upward recurrence
-    carries them to nu; both hold for any mu, integer or not.  The value
-    underflows quietly to 0.0 from x ~ 745 on, x = inf included, so it can
-    serve as a quadrature weight tail.  Raises OverflowError where the value
-    exceeds the double range (small x, large order), DomainError for NaN.
+    fixed trapezoid sum of their integral for x > 2; upward recurrence carries
+    them to nu.  The value underflows quietly to 0.0 from x ~ 745 on (x = inf
+    too), so it can serve as a quadrature weight tail.  Raises OverflowError
+    above the double range (small x, large order), DomainError for NaN.
     """
     if not x > 0.0:
         raise DomainError(f"bessel_k requires x > 0, got {x!r}")

@@ -841,8 +841,19 @@ def test_unwritable_out_exits_two(command, where, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     last = captured.err.splitlines()[-1]
-    assert last.startswith("error: [Errno ") and str(tmp_path) in last
+    assert last.startswith("error: cannot write --out: [Errno ") and str(tmp_path) in last
     assert captured.err.count("error:") == 1
+
+
+def test_stdout_failure_is_not_taken_for_an_out_path(monkeypatch):
+    # only the --out write is a usage error; a closed pipe on stdout is not reported as one
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["spectrum"])
 
 
 @pytest.mark.parametrize("command", ["coherent", "expect"])
