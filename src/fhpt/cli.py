@@ -129,7 +129,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     k = np.arange(args.samples)
     tau = -0.5 * np.pi + (k + 1.0) * np.pi / (args.samples + 1.0)
     psi = eval_state(state, tau)
-    rows = [[float(t), float(p)] for t, p in zip(tau, psi)]
+    rows = np.column_stack((tau, psi)).tolist()
     config = _config(args, n=args.n, interval=args.interval, samples=args.samples)
     summary = {"a_prime": params.a_prime, "norm_constant": state.norm}
     _emit(args, "wavefunction", config, ["tau", "psi"], rows, summary)
@@ -146,7 +146,7 @@ def _coherent(args: argparse.Namespace) -> tuple:
 
 def _cmd_coherent(args: argparse.Namespace) -> int:
     params, cs, weights, config = _coherent(args)
-    rows = [[n, float(w), float(np.angle(c))] for n, (w, c) in enumerate(zip(weights, cs.coeffs))]
+    rows = [[n, w, p] for n, (w, p) in enumerate(zip(weights.tolist(), np.angle(cs.coeffs).tolist()))]
     mean_level = float(np.dot(weights, np.arange(len(weights))))
     summary = {
         "truncation_level": cs.truncation_level,
@@ -178,10 +178,8 @@ def _cmd_expect(args: argparse.Namespace) -> int:
     momenta = momentum_level(range(len(weights)), params)
     L = params.L
 
-    def raising_element(i: int, j: int) -> complex:
-        if i == j + 1:
-            return np.sqrt((j + 1.0) * (j + 2.0 * L + 1.0))
-        return 0.0
+    def raising_element(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return np.where(i == j + 1, np.sqrt((j + 1.0) * (j + 2.0 * L + 1.0)), 0.0)
 
     raising_mean = general_expectation(cs, raising_element)
     rows = [

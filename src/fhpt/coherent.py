@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _MAX_TERMS = 200_000
+# matrix elements per general_expectation block, whose complex temporaries then stay near 0.3 MB
+_BLOCK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,16 +123,23 @@ def lowering_eigenstate_residual(cs: CoherentState) -> float:
     return float(np.sqrt(np.sum(np.abs(resid) ** 2)))
 
 
-def general_expectation(cs: CoherentState, element: Callable[[int, int], complex]) -> complex:
-    """Expectation of an operator given by its matrix element (row, col) -> value."""
+def general_expectation(cs: CoherentState, element: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> complex:
+    """Expectation <c|E|c> of an operator given by its matrix elements.
+
+    element(i, j) is called the way np.fromfunction calls its function, once
+    per block of rows: i is a column of row indices, j a row of every column
+    index (both integer arrays), and it returns E[i, j] broadcastable to their
+    shape.  A block holds at most _BLOCK_ELEMENTS elements, and at least one
+    whole row.
+    """
     c = cs.coeffs
+    n = len(c)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    j = np.arange(n)[None, :]
     total = 0.0 + 0.0j
-    for i in range(len(c)):
-        ci = np.conj(c[i])
-        for j in range(len(c)):
-            e = element(i, j)
-            if e != 0.0:
-                total += ci * e * c[j]
+    for start in range(0, n, rows):
+        i = np.arange(start, min(start + rows, n))[:, None]
+        total += np.sum(np.conj(c[start : start + rows, None]) * element(i, j) * c)
     return complex(total)
 
 

@@ -85,11 +85,11 @@ def default_r_max(poly_degree: float) -> float:
 
 # a verify integrates several moments against each grid, so grids are cached
 # per (nu, geometry, rule); rules are cached per order, so a rule's identity
-# is a stable key, and 32 grids of 6,400 nodes take about 3.3 MB.  The grid
-# carries the scalar K_nu(2 r) at the tail probes r = hi, lo and 2 lo, which
-# every moment on it shares
+# is a stable key, and 32 grids of 6,400 nodes take about 3.3 MB.  A main grid
+# (probes true) carries the scalar K_nu(2 r) at the tail probes r = hi, lo and
+# 2 lo, which every moment on it shares; a lower-tail grid carries none
 @functools.lru_cache(maxsize=32)
-def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int, rule: QuadratureRule):
+def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int, rule: QuadratureRule, probes: bool = True):
     edges = np.geomspace(lo, hi, n_panels + 1)
     l, h = edges[:-1, None], edges[1:, None]
     nodes = (0.5 * (l + h) + 0.5 * (h - l) * rule.nodes).ravel()
@@ -97,7 +97,7 @@ def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int, rule: Quadr
     wk = weights * _bessel_k_array(nu, 2.0 * nodes)
     nodes.setflags(write=False)
     wk.setflags(write=False)
-    return nodes, wk, tuple(bessel_k(nu, 2.0 * r) for r in (hi, lo, 2.0 * lo))
+    return nodes, wk, tuple(bessel_k(nu, 2.0 * r) for r in (hi, lo, 2.0 * lo) if probes)
 
 
 def _point(g: Callable, r: float, k: float) -> float:
@@ -166,6 +166,6 @@ def integrate_semi_infinite_k_weight(
         return total
     k = min(math.ceil(math.log(tail / (1e-13 * scale), 100.0) / (p + 1.0)), int(math.log(lo / floor, 100.0)))
     if k > 0:
-        pn, pw, _ = _k_weighted_grid(nu, lo / 100.0**k, lo, k, rule)
+        pn, pw, _ = _k_weighted_grid(nu, lo / 100.0**k, lo, k, rule, False)
         total += float(np.dot(pw, np.asarray(g(pn), dtype=float)))
     return total + tail * 100.0 ** (-k * (p + 1.0))

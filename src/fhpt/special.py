@@ -27,6 +27,7 @@ stops at its first term below tol relative to the partial sum.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -91,6 +92,7 @@ def gegenbauer_value(n, lam: float, y):
 # ---------------------------------------------------------------------------
 # Modified Bessel functions of real order
 
+_MAX_LOG = math.log(sys.float_info.max)
 _OVERFLOW_LOG = 708.0  # ln of the largest double, with a little headroom
 _TOL = 1e-14  # relative tail tolerance of every series
 
@@ -235,11 +237,20 @@ def _k_order(nu: float, x_min: float) -> tuple[int, float]:
     # Order set-up shared by both K kernels: |nu| = nl + mu with |mu| <= 1/2 (K
     # is even in its order), once K_nu at the smallest argument is known to fit
     # the double range (small-x magnitude estimate ~ Gamma(nu)/2 * (2/x)^nu).
+    # At any x an order whose K lies provably above the range is rejected before
+    # the recurrence runs nu steps: with ln K_nu(x) = ln(1/2 (2/x)^nu
+    # int_0^inf e^(-s - x^2/4s) s^(nu-1) ds) (DLMF 10.32.10), keeping s > nu - 1,
+    # below the median of the Gamma(nu) law, gives
+    #   ln K_nu(x) > ln Gamma(nu) - 2 ln 2 + nu ln(2/x) - x^2 / (4 (nu - 1)),  nu > 1.
     nu = abs(nu)
     if not nu < math.inf:
         raise DomainError(f"bessel_k requires a finite order, got {nu!r}")
     if x_min < 2.0 and nu > 0.0 and math.lgamma(nu) - math.log(2.0) + nu * math.log(2.0 / x_min) > _OVERFLOW_LOG:
         raise OverflowError(f"K_{nu}({x_min}) exceeds the double range")
+    if nu > 1.0:
+        x = float(x_min)  # float products overflow to inf quietly (numpy scalar ones warn); ln x is inf at x = inf
+        if math.lgamma(nu) - math.log(4.0) + nu * (math.log(2.0) - math.log(x)) - x * x / (4.0 * (nu - 1.0)) > _MAX_LOG:
+            raise OverflowError(f"K_{nu}({x_min}) exceeds the double range")
     nl = int(nu + 0.5)
     return nl, nu - nl
 
@@ -251,13 +262,17 @@ def bessel_k(nu: float, x: float) -> float:
     fixed trapezoid sum of their integral for x > 2; upward recurrence carries
     them to nu.  The value underflows quietly to 0.0 from x ~ 745 on (x = inf
     too), so it can serve as a quadrature weight tail.  Raises OverflowError
-    above the double range (small x, large order), DomainError for NaN.
+    above the double range (large order), before the recurrence runs where a
+    lower bound on ln K_nu(x) already exceeds it; DomainError for NaN.
     """
     if not x > 0.0:
         raise DomainError(f"bessel_k requires x > 0, got {x!r}")
     nl, mu = _k_order(nu, x)
     k_mu, k_mu1 = _k_trapezoid(mu, x) if x > 2.0 else _k_temme(mu, x)
-    return _k_upward(nl, mu, x, k_mu, k_mu1)
+    k = _k_upward(nl, mu, x, k_mu, k_mu1)
+    if k == math.inf:  # within the bounds _k_order checks, but above the range
+        raise OverflowError(f"K_{abs(nu)}({x}) exceeds the double range")
+    return k
 
 
 def _bessel_k_array(nu: float, x: np.ndarray) -> np.ndarray:

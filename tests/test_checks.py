@@ -171,10 +171,11 @@ def test_default_run_builds_each_state_once(monkeypatch):
     assert (len(basis), len(labels)) == (56, 5)
 
 
-@pytest.mark.parametrize("A,cold", [(2.0, 34), (21.0, 31)])
+@pytest.mark.parametrize("A,cold", [(2.0, 31), (21.0, 31)])
 def test_tail_probes_come_with_the_grid(monkeypatch, A, cold):
-    # 28 scalar K values belong to the Bessel checks; each cold grid adds its
-    # three tail probes once, and a warm run adds none
+    # 28 scalar K values belong to the Bessel checks; the cold main grid adds
+    # its three tail probes once, the lower-tail grid of small 2L none, and a
+    # warm run none
     _warm_up_at_another_strength()
     calls = _record_calls(monkeypatch, "bessel_k")
     run_checks(CheckConfig(A=A))

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fhpt import coherent
 from fhpt.coherent import (
     build_coherent_state,
     general_expectation,
@@ -105,20 +106,62 @@ def test_weight_operator_mean_at_origin():
     assert got == p.L + 0.5
 
 
+def _ladder_elements(L):
+    # the matrix elements of K+ and K- as array callables
+    def raising(i, j):
+        return np.where(i == j + 1, np.sqrt((j + 1.0) * (j + 2.0 * L + 1.0)), 0.0)
+
+    def lowering(i, j):
+        return np.where(i == j - 1, np.sqrt(j * (j + 2.0 * L)), 0.0)
+
+    return raising, lowering
+
+
 def test_raising_and_lowering_means():
     p = PotentialParams(A=2.0)
     z = 2.0 + 1.0j
     cs = build_coherent_state(z, p)
-    L = p.L
-
-    def raising(i, j):
-        return math.sqrt((j + 1.0) * (j + 2.0 * L + 1.0)) if i == j + 1 else 0.0
-
-    def lowering(i, j):
-        return math.sqrt(j * (j + 2.0 * L)) if i == j - 1 else 0.0
-
+    raising, lowering = _ladder_elements(p.L)
     assert general_expectation(cs, raising) == pytest.approx(z.conjugate(), rel=1e-10)
     assert general_expectation(cs, lowering) == pytest.approx(z, rel=1e-10)
+
+
+def test_ladder_means_at_large_label():
+    p = PotentialParams(A=3.3)
+    z = cmath.rect(350.0, 0.7)
+    cs = build_coherent_state(z, p)
+    raising, lowering = _ladder_elements(p.L)
+    assert general_expectation(cs, raising) == pytest.approx(z.conjugate(), rel=1e-12)
+    assert general_expectation(cs, lowering) == pytest.approx(z, rel=1e-12)
+
+
+def test_dense_operator_matches_the_full_quadratic_form():
+    cs = build_coherent_state(cmath.rect(350.0, -2.1), PotentialParams(A=2.0))
+    n = len(cs.coeffs)
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = b @ b.conj().T / n  # Hermitian and positive, so the mean does not cancel toward 0
+    want = np.conj(cs.coeffs) @ m @ cs.coeffs
+    got = general_expectation(cs, lambda i, j: m[i, j])
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert abs(got.imag) <= 1e-12 * got.real
+
+
+def test_element_calls_stay_within_the_block_budget():
+    cs = build_coherent_state(350.0, PotentialParams(A=2.0))
+    n = len(cs.coeffs)
+    seen = []
+
+    def element(i, j):
+        assert i.dtype.kind == j.dtype.kind == "i"
+        shape = np.broadcast_shapes(i.shape, j.shape)
+        assert shape[1] == n and shape[0] * n <= coherent._BLOCK_ELEMENTS
+        seen.extend(i.ravel().tolist())
+        return np.ones(shape)
+
+    # every row once, in order; the all-ones operator gives |sum c|^2
+    assert general_expectation(cs, element) == pytest.approx(abs(np.sum(cs.coeffs)) ** 2, rel=1e-12)
+    assert seen == list(range(n))
 
 
 def test_determinism():

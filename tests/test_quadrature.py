@@ -155,3 +155,4 @@ def test_k_grid_matches_per_panel_assembly(nu, lo, hi, n_panels):
     assert np.array_equal(nodes, ref_nodes)
     assert np.array_equal(wk, ref_weights * _bessel_k_array(nu, 2.0 * ref_nodes))
     assert probes == (bessel_k(nu, 2.0 * hi), bessel_k(nu, 2.0 * lo), bessel_k(nu, 4.0 * lo))
+    assert _k_weighted_grid(nu, lo, hi, n_panels, rule, False)[2] == ()  # a lower-tail grid has none

@@ -12,6 +12,7 @@ import pytest
 import scipy.special as sps
 from numpy.polynomial import polynomial as npoly
 
+from fhpt import special
 from fhpt.errors import DomainError
 from fhpt.special import (
     _bessel_k_array,
@@ -323,6 +324,26 @@ def test_bessel_k_even_in_order():
 def test_bessel_k_small_argument_overflow():
     with pytest.raises(OverflowError):
         bessel_k(50.0, 1e-12)
+
+
+@pytest.mark.parametrize("nu,x", [(400.0, 3.0), (186.34, 3.0), (913.74, 300.0), (2000.0, 800.0)])
+def test_bessel_k_above_the_double_range_raises(nu, x):
+    # the first and last are rejected by the lower bound on ln K, the middle two
+    # (just above the range) only once the recurrence reaches inf
+    with pytest.raises(OverflowError, match="exceeds the double range"):
+        bessel_k(nu, x)
+
+
+@pytest.mark.parametrize("nu,x", [(186.33, 3.0), (913.73, 300.0)])
+def test_bessel_k_just_below_the_double_range_is_finite(nu, x):
+    assert bessel_k(nu, x) == pytest.approx(float(mpmath.besselk(nu, x)), rel=1e-12)
+
+
+def test_huge_order_is_rejected_before_the_recurrence(monkeypatch):
+    monkeypatch.setattr(special, "_k_upward", None)  # the recurrence would now raise TypeError
+    for nu in (1e6, 1e12):
+        with pytest.raises(OverflowError):
+            bessel_k(nu, 3.0)
 
 
 def test_bessel_k_domain():
