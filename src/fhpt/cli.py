@@ -223,7 +223,9 @@ _WELL_HELP = {
 # the options that more than one command takes
 _SHARED = {
     "--nmax": {"type": int, "default": CheckConfig.nmax, "help": "highest level (default %(default)s)"},
-    "--quad-order": {"type": int, "default": CheckConfig.quad_order, "help": "panel rule order"},
+    "--quad-order": {
+        "type": int, "default": CheckConfig.quad_order, "help": "panel rule order; it also sets the K-grid's panel count"
+    },
     "--z": {"default": "1", "help": "complex label, 'a+bi' or polar 'r@theta'"},
     "--tail-tol": {"type": float, "default": 1e-13, "help": "dropped-weight bound"},
 }
@@ -265,7 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _command(sub, "expect", _cmd_expect, "expectation values in a coherent state", "--z", "--tail-tol")
     p = _command(
         sub, "verify", _cmd_verify, "run every named identity check and report", "--nmax", "--quad-order",
-        nmax="level budget for the checks", quad_order="quadrature order for overlaps",
+        nmax="level budget for the checks",
+        quad_order="quadrature order for overlaps and the K-grid, whose panel count it also sets",
     )
     p.add_argument("--tol", type=float, default=None, help="override every check tolerance")
     return parser

@@ -85,7 +85,7 @@ def default_r_max(poly_degree: float) -> float:
 
 # a verify integrates several moments against each grid, so grids are cached
 # per (nu, geometry, rule); rules are cached per order, so a rule's identity
-# is a stable key, and 32 grids of 6,400 nodes take about 3.3 MB.  A main grid
+# is a stable key, and 32 grids of 1,600 nodes (order 200) take about 0.8 MB.  A main grid
 # (probes true) carries the scalar K_nu(2 r) at the tail probes r = hi, lo and
 # 2 lo, which every moment on it shares; a lower-tail grid carries none
 @functools.lru_cache(maxsize=32)
@@ -100,6 +100,12 @@ def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int, rule: Quadr
     return nodes, wk, tuple(bessel_k(nu, 2.0 * r) for r in (hi, lo, 2.0 * lo) if probes)
 
 
+# a panel of ratio R sees the r = 0 branch point on the Bernstein ellipse rho = (sqrt R + 1) / (sqrt R - 1), where
+# an n-point rule errs like rho^(-2 n): 8 panels (R ~ 13, rho ~ 1.75) reach rounding at n = 200, and n <= 50 keeps 32
+def _main_panels(rule: QuadratureRule) -> int:
+    return max(8, math.ceil(1600 / rule.order))
+
+
 def _point(g: Callable, r: float, k: float) -> float:
     return float(np.asarray(g(np.array([r])), dtype=float)[0]) * k
 
@@ -112,14 +118,14 @@ def integrate_semi_infinite_k_weight(
 ) -> float:
     """Integral of g(r) * K_nu(2 r) over (0, infinity), truncated at r_max.
 
-    32 geometric panels span [lo, r_max].  lo is 1e-6, or for nu above about
-    44 the radius e_nu below which K_nu(2 r) ~ Gamma(nu) r^(-nu) / 2 leaves
-    the double range.  Below lo the integrand follows a power law C r^p,
-    probed at lo and 2 lo, so the dropped piece is T = f(lo) lo / (p + 1).
-    When T exceeds 1e-13 of the result, ratio-100 panels cover the part of
-    (e_nu, lo) that matters and the rest below them is added in closed form.
-    A probed p <= -1 (a divergent integral) or an upper tail above 1e-12 of
-    the result raises TruncationWarning.
+    max(8, ceil(1600 / rule.order)) geometric panels span [lo, r_max].  lo
+    is 1e-6, or for nu above about 44 the radius e_nu below which K_nu(2 r)
+    ~ Gamma(nu) r^(-nu) / 2 leaves the double range.  Below lo the integrand
+    follows a power law C r^p, probed at lo and 2 lo, so the dropped piece
+    is T = f(lo) lo / (p + 1).  When T exceeds 1e-13 of the result, ratio-100
+    panels cover the part of (e_nu, lo) that matters and the rest below them
+    is added in closed form.  A probed p <= -1 (a divergent integral) or an
+    upper tail above 1e-12 of the result raises TruncationWarning.
     """
     nu = abs(nu)
     floor = 1e-240
@@ -129,7 +135,7 @@ def integrate_semi_infinite_k_weight(
     if not r_max > lo:
         raise DomainError(f"r_max must exceed the inner mesh edge {lo!r}, got {r_max!r}")
 
-    nodes, wk, (k_hi, k_lo, k_2lo) = _k_weighted_grid(nu, lo, r_max, 32, rule)
+    nodes, wk, (k_hi, k_lo, k_2lo) = _k_weighted_grid(nu, lo, r_max, _main_panels(rule), rule)
     # a value that overflows is rejected below with its node, so numpy's warning would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         gv = np.asarray(g(nodes), dtype=float)

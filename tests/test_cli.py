@@ -386,7 +386,7 @@ casimir-constancy,casimir-invariant,7.105427357601002e-15,1e-12,true
 coherent-normalization,unit-weight-sum,6.428191312579656e-14,1e-12,true
 lowering-eigenstate,annihilation-eigenrelation,4.628570439118569e-16,1e-10,true
 identity-resolution,label-plane-completeness,3.3306690738754696e-15,1e-07,true
-radial-closed-form,k-weighted-moments,4.2106236193191124e-16,1e-09,true
+radial-closed-form,k-weighted-moments,7.401486830834377e-16,1e-09,true
 bessel-wronskian,cross-product-identity,6.439293542825908e-15,1e-10,true
 half-order-bessel,elementary-closed-forms,7.513987692068883e-15,1e-12,true
 quadrature-exactness,polynomial-exactness,1.3877787807814457e-16,1e-12,true
@@ -493,7 +493,7 @@ bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
     {
       "name": "radial-closed-form",
       "identity": "k-weighted-moments",
-      "residual": 4.2106236193191124e-16,
+      "residual": 7.401486830834377e-16,
       "tol": 1e-09,
       "pass": true
     },
@@ -551,7 +551,7 @@ casimir-constancy,casimir-invariant,6.394884621840902e-14,1e-12,true
 coherent-normalization,unit-weight-sum,6.661338147750939e-16,1e-12,true
 lowering-eigenstate,annihilation-eigenrelation,5.939536886830383e-16,1e-10,true
 identity-resolution,label-plane-completeness,3.1086244689504383e-15,1e-07,true
-radial-closed-form,k-weighted-moments,1.922123396360909e-15,1e-09,true
+radial-closed-form,k-weighted-moments,1.5726464152043801e-15,1e-09,true
 bessel-wronskian,cross-product-identity,6.439293542825908e-15,1e-10,true
 half-order-bessel,elementary-closed-forms,7.513987692068883e-15,1e-12,true
 quadrature-exactness,polynomial-exactness,1.3877787807814457e-16,1e-12,true
@@ -658,7 +658,7 @@ bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
     {
       "name": "radial-closed-form",
       "identity": "k-weighted-moments",
-      "residual": 1.922123396360909e-15,
+      "residual": 1.5726464152043801e-15,
       "tol": 1e-09,
       "pass": true
     },

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from fhpt.coherent import _diagonal_moments
 from fhpt.errors import DomainError, IntegrationError
+from fhpt.model import PotentialParams
 from fhpt.quadrature import (
     TruncationWarning,
     _k_weighted_grid,
+    _main_panels,
     default_r_max,
     gauss_legendre,
     integrate_semi_infinite_k_weight,
@@ -125,7 +128,7 @@ def test_k_weighted_rejects_bad_scale():
 def test_k_weighted_rejects_non_finite_integrand():
     # the message names the first bad node as a plain float
     rule = gauss_legendre(20)
-    nodes, _, _ = _k_weighted_grid(0.5, 1e-6, 30.0, 32, rule)
+    nodes, _, _ = _k_weighted_grid(0.5, 1e-6, 30.0, _main_panels(rule), rule)
     bad = float(nodes[nodes > 5.0][0])
     with pytest.raises(IntegrationError) as err:
         integrate_semi_infinite_k_weight(lambda r: np.where(r > 5.0, np.inf, r), 0.5, r_max=30.0, rule=rule)
@@ -143,7 +146,9 @@ def test_k_grid_cache_is_bounded():
     assert _k_weighted_grid(0.89, 1e-6, 30.0, 32, rule)[1] is wk
 
 
-@pytest.mark.parametrize("nu,lo,hi,n_panels", [(3.0, 1e-6, 185.0, 32), (0.3, 1e-12, 1e-6, 3), (45.0, 0.0314, 940.0, 32)])
+@pytest.mark.parametrize(
+    "nu,lo,hi,n_panels", [(3.0, 1e-6, 185.0, 32), (0.3, 1e-12, 1e-6, 3), (45.0, 0.0314, 940.0, 32), (4.0, 1e-6, 235.0, 8)]
+)
 def test_k_grid_matches_per_panel_assembly(nu, lo, hi, n_panels):
     # the per-panel expressions the broadcast replaced, kept as the reference
     rule = gauss_legendre(200)
@@ -156,3 +161,30 @@ def test_k_grid_matches_per_panel_assembly(nu, lo, hi, n_panels):
     assert np.array_equal(wk, ref_weights * _bessel_k_array(nu, 2.0 * ref_nodes))
     assert probes == (bessel_k(nu, 2.0 * hi), bessel_k(nu, 2.0 * lo), bessel_k(nu, 4.0 * lo))
     assert _k_weighted_grid(nu, lo, hi, n_panels, rule, False)[2] == ()  # a lower-tail grid has none
+
+
+def test_main_grid_panels_follow_the_rule_order():
+    # the default rule gets 1,600 nodes; no order up to 50 gets fewer than 32 panels
+    rule = gauss_legendre(200)
+    assert _main_panels(rule) == 8
+    assert _k_weighted_grid(4.0, 1e-6, 235.0, _main_panels(rule), rule)[0].size == 1600
+    assert all(_main_panels(gauss_legendre(order)) >= 32 for order in range(1, 51))
+    assert _main_panels(gauss_legendre(2048)) * 2048 == 16384
+
+
+@pytest.mark.parametrize("order", [10, 20, 40, 80, 200, 2048])
+@pytest.mark.parametrize("A", [0.55, 2.0, 10.5, 21.25])
+def test_k_moments_reach_rounding_at_every_rule_order(order, A):
+    # the identity-resolution diagonal and the three radial-closed-form moments, as verify takes them at nmax 10
+    params = PotentialParams(A=A)
+    L, rule = params.L, gauss_legendre(order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        moments, r_max = _diagonal_moments(10, params, rule)
+        assert max(abs(v - 1.0) for v in moments) < 1e-12
+        r_max = max(r_max, default_r_max(14.0 + 2.0 * L + 1.0))
+        for k in (0, 3, 7):
+            mu = 2.0 * k + 2.0 * L + 1.0
+            got = integrate_semi_infinite_k_weight(lambda r: r**mu, 2.0 * L, r_max=r_max, rule=rule)
+            exact = mpmath.gamma((1 + mpmath.mpf(mu) + 2 * L) / 2) * mpmath.gamma((1 + mpmath.mpf(mu) - 2 * L) / 2) / 4
+            assert abs(got / exact - 1) < 1e-12
