@@ -93,7 +93,7 @@ def apply_lowering(states):
     return lambda y, rows=None: _ladder_image(states, y, rows, False)
 
 
-def commutator_residual(n, params: PotentialParams) -> float | np.ndarray:
+def commutator_residual(n, params: PotentialParams, grid=None) -> float | np.ndarray:
     """Pointwise residual of [lower, raise] = 2 gamma0 on level n.
 
     The two operator chains are composed pointwise: the first map's image and
@@ -101,8 +101,10 @@ def commutator_residual(n, params: PotentialParams) -> float | np.ndarray:
     map acts on them with the level-shifted prefactor.  The result is compared
     to 2 (n + L + 1/2) psi_n on a tau grid; returns the max deviation scaled by
     max |psi_n|, or one such residual per level for a sequence of levels.
+    grid, if given, must be the rows that _grid_rows(n, params, 201) returns
+    for the same levels and well.
     """
-    states, y, cq, psi, u, du, d2u = _grid_rows(n, params, 201)
+    states, y, cq, psi, u, du, d2u = _grid_rows(n, params, 201) if grid is None else grid
     k = np.array([s.n for s in states])[:, None]
     L, lam = params.L, params.L + 0.5
     w = 1.0 - y * y

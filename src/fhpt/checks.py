@@ -96,6 +96,12 @@ def _result(name: str, identity: str, residual: float, tol: float, override: flo
     return CheckResult(name, identity, float(residual), float(tol), bool(residual < tol))
 
 
+def _levels_on(grid, step: int):
+    # levels 0..nmax of a grid of levels 0..nmax + 1, on every step-th tau point
+    states, *arrays = grid
+    return (states[:-1], *(a[::step] if a.ndim == 1 else a[:-1, ::step] for a in arrays))
+
+
 def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     if config is None:
         config = CheckConfig()
@@ -103,9 +109,13 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     L = config.L
     checks: list[CheckResult] = []
 
+    # one 401-point grid of levels 0..nmax + 1 serves the ODE, ladder and commutator checks: np.linspace's
+    # [::2] and [::4] equal its 201- and 101-point grids bit for bit, so each check sees the rows it would build
+    grid = _grid_rows(range(config.nmax + 2), config, 401)
+
     # master equation residual over every level
     levels = range(config.nmax + 1)
-    r = residual_ode(levels, config).max()
+    r = residual_ode(levels, config, grid=_levels_on(grid, 1)).max()
     checks.append(_result("ode-residual", "secant-well-equation", r, 1e-9, ov))
 
     # squared-integer spectrum at unit well strength in natural units
@@ -121,21 +131,22 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     checks.append(_result("gram-identity", "basis-orthonormality", np.max(np.abs(gram - np.eye(len(levels)))), 1e-10, ov))
     checks.append(_result("gram-order-doubling", "quadrature-convergence", np.max(np.abs(gram - gram2)), 1e-12, ov))
 
-    # ladder maps against their eigenvalue relations, from one set of states and
-    # rows of levels 0..nmax+1; row 0 of the lowering images is the ground level's
-    states, y, _, psi, u, du, _ = _grid_rows(range(config.nmax + 2), config, 101)
-    up = apply_raising(states[:-1])(y, (u[:-1], du[:-1]))
-    dn = apply_lowering(states[:-1])(y, (u[:-1], du[:-1]))
-    target_up = np.array([ladder_coefficients(n, L).raise_eig for n in levels])[:, None] * psi[1:]
-    target_dn = np.array([ladder_coefficients(n, L).lower_eig for n in levels[1:]])[:, None] * psi[:-2]
+    # ladder maps against their eigenvalue relations, with targets from levels
+    # 0..nmax + 1; row 0 of the lowering images is the ground level's
+    states, y, _, _, u, du, _ = _levels_on(grid, 4)
+    up = apply_raising(states)(y, (u, du))
+    dn = apply_lowering(states)(y, (u, du))
+    target_up = np.array([ladder_coefficients(n, L).raise_eig for n in levels])[:, None] * grid[3][1:, ::4]
+    target_dn = np.array([ladder_coefficients(n, L).lower_eig for n in levels[1:]])[:, None] * grid[3][:-2, ::4]
     worst_up = (np.max(np.abs(up - target_up), axis=1) / np.max(np.abs(target_up), axis=1)).max(initial=0.0)
     worst_dn = (np.max(np.abs(dn[1:] - target_dn), axis=1) / np.max(np.abs(target_dn), axis=1)).max(initial=0.0)
     checks.append(_result("ladder-raising", "raising-eigenvalue", worst_up, 1e-9, ov))
     checks.append(_result("ladder-lowering", "lowering-eigenvalue", worst_dn, 1e-9, ov))
     checks.append(_result("ground-annihilation", "lowering-kills-ground", np.max(np.abs(dn[0])), 1e-10, ov))
 
-    r = commutator_residual(levels, config).max()
+    r = commutator_residual(levels, config, grid=_levels_on(grid, 2)).max()
     checks.append(_result("commutator", "ladder-commutator", r, 1e-9, ov))
+    del grid, u, du  # release the shared rows before the coherent states are built
 
     cas = L * L - 0.25
     r = max(abs(casimir_eigenvalue(n, config) - cas) for n in range(21))

@@ -202,7 +202,7 @@ def _grid_rows(n, params: PotentialParams, points: int):
     return states, y, cq, psi, scale * c, scale * dc, scale * d2c
 
 
-def residual_ode(n, params: PotentialParams, momentum: float | None = None) -> float | np.ndarray:
+def residual_ode(n, params: PotentialParams, momentum: float | None = None, grid=None) -> float | np.ndarray:
     """Scaled residual of the master equation at level n on 401 tau points.
 
     Returns max |c1^2 psi'' + (c/M) P psi - (1/M) A(A-1) sec^2(tau) psi|
@@ -210,9 +210,10 @@ def residual_ode(n, params: PotentialParams, momentum: float | None = None) -> f
     for level n; passing momentum explicitly turns the residual into a
     detector for off-spectrum values.  The grid keeps a 0.05 margin from
     the interval ends where sec^2 amplifies roundoff.  A sequence of levels
-    gives one residual per level.
+    gives one residual per level.  grid, if given, must be the rows that
+    _grid_rows(n, params, 401) returns for the same levels and well.
     """
-    states, y, cq, psi, u, du, d2u = _grid_rows(n, params, 401)
+    states, y, cq, psi, u, du, d2u = _grid_rows(n, params, 401) if grid is None else grid
     M, lam = params.mass_scale, params.L + 0.5
     # psi'' in tau via the chain rule on the envelope-times-polynomial form
     core = cq**lam * ((1.0 - y * y) * d2u - (2.0 * lam + 1.0) * y * du - lam * lam * u)
@@ -230,14 +231,15 @@ def overlap(m, n, params: PotentialParams, rule: QuadratureRule) -> float | np.n
     """
     rows = [m] if np.ndim(m) == 0 else list(m)
     cols = [n] if np.ndim(n) == 0 else list(n)
-    for k in rows + cols:  # before set() merges True into 1 and 2.0 into 2
+    for k in rows + cols:  # before np.unique merges True into 1 and 2.0 into 2
         _check_int("level index", k, 0, _MAX_LEVEL)
-    levels = sorted(set(rows + cols))
-    half = 0.5 * np.pi
-    states = [build_basis_state(k, params) for k in levels]
-    psi = dict(zip(levels, eval_state(states, half * rule.nodes))) if levels else {}
-    # psi_i psi_j equals psi_j psi_i bit for bit, so each pair i <= j is integrated once; dt = dtau / c1
-    pairs = {(min(i, j), max(i, j)) for i in rows for j in cols}
-    dots = {(i, j): half * np.dot(rule.weights, psi[i] * psi[j]) / params.c1 for i, j in pairs}
-    block = np.array([[dots[min(i, j), max(i, j)] for j in cols] for i in rows])
-    return float(block[0, 0]) if np.ndim(m) == np.ndim(n) == 0 else block.reshape(len(rows), len(cols))
+    levels, at = np.unique(np.array(rows + cols, dtype=int), return_inverse=True)
+    psi = eval_state([build_basis_state(k, params) for k in levels], 0.5 * np.pi * rule.nodes) if len(levels) else None
+    w = 0.5 * np.pi * rule.weights / params.c1  # dt = dtau / c1
+    # one pass per level a forms each pair a <= b once and in one order, so a block equals its scalar
+    # pairs bit for bit; the lower triangle mirrors the upper
+    gram = np.empty((len(levels), len(levels)))
+    for a in range(len(levels)):
+        gram[a, a:] = gram[a:, a] = np.add.reduce(w * psi[a] * psi[a:], axis=1)
+    block = gram[np.ix_(at[: len(rows)], at[len(rows) :])]
+    return float(block[0, 0]) if np.ndim(m) == np.ndim(n) == 0 else block

@@ -107,7 +107,12 @@ def _main_panels(rule: QuadratureRule) -> int:
 
 
 def _point(g: Callable, r: float, k: float) -> float:
-    return float(np.asarray(g(np.array([r])), dtype=float)[0]) * k
+    # a tail probe g(r) K; an underflowed K contributes 0, and any other non-finite probe is rejected like a node
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = float(np.asarray(g(np.array([r])), dtype=float)[0]) * k if k else 0.0
+    if not math.isfinite(f):
+        raise IntegrationError(f"integrand returned a non-finite value at probe {r!r}")
+    return f
 
 
 def integrate_semi_infinite_k_weight(

@@ -9,9 +9,9 @@ import pytest
 
 from fhpt import coherent, model, special
 from fhpt.algebra import commutator_residual
-from fhpt.checks import CheckConfig, run_checks
+from fhpt.checks import CheckConfig, _levels_on, run_checks
 from fhpt.errors import DomainError
-from fhpt.model import PotentialParams, overlap, residual_ode
+from fhpt.model import PotentialParams, _grid_rows, overlap, residual_ode
 from fhpt.quadrature import _k_weighted_grid, gauss_legendre
 
 EXPECTED_CHECKS = {
@@ -132,9 +132,10 @@ def _record_calls(monkeypatch, name: str, source=special) -> list:
 
 
 def test_level_checks_run_one_recurrence_per_grid(monkeypatch):
-    # the count must not grow with nmax.  The first run fills the
-    # Gauss-Legendre rule cache, whose Newton steps run the lam = 1/2
-    # recurrence
+    # the count must not grow with nmax: three recurrences (u, u', u'') for the
+    # level grid that the ODE, ladder and commutator checks share, and one for
+    # each Gram rule.  The first run fills the Gauss-Legendre rule cache, whose
+    # Newton steps run the lam = 1/2 recurrence
     run_checks(CheckConfig(nmax=10))
     calls = _record_calls(monkeypatch, "gegenbauer_value")
     counts = []
@@ -142,7 +143,7 @@ def test_level_checks_run_one_recurrence_per_grid(monkeypatch):
         calls.clear()
         run_checks(CheckConfig(nmax=nmax))
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 12
+    assert counts == [5, 5]
 
 
 def _warm_up_at_another_strength() -> None:
@@ -163,12 +164,41 @@ def test_cold_run_builds_one_grid_per_well(A, nmax, grids):
 
 
 def test_default_run_builds_each_state_once(monkeypatch):
-    # 11 basis states each for ode-residual, commutator and the two Gram rules, and 12 for the ladder
-    # checks; five distinct coherent labels
+    # 12 basis states for the level grid that the ODE, ladder and commutator checks share, and 11 for
+    # each Gram rule; five distinct coherent labels
     basis = _record_calls(monkeypatch, "build_basis_state", model)
     labels = _record_calls(monkeypatch, "build_coherent_state", coherent)
     run_checks()
-    assert (len(basis), len(labels)) == (56, 5)
+    assert (len(basis), len(labels)) == (34, 5)
+
+
+def test_shared_grid_thins_to_the_coarser_grids():
+    # every second and every fourth of 401 points are the 201- and 101-point grids, bit for bit
+    a, b = -0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05
+    fine = np.linspace(a, b, 401)
+    assert fine[::2].tobytes() == np.linspace(a, b, 201).tobytes()
+    assert fine[::4].tobytes() == np.linspace(a, b, 101).tobytes()
+
+
+@pytest.mark.parametrize("A", [0.65, 2.0, 21.0])
+def test_shared_grid_rows_equal_each_checks_own_rows(A):
+    p = PotentialParams(A=A)
+    grid = _grid_rows(range(12), p, 401)
+    for step, points in ((1, 401), (2, 201), (4, 101)):
+        shared, own = _levels_on(grid, step), _grid_rows(range(11), p, points)
+        assert [vars(s) for s in shared[0]] == [vars(s) for s in own[0]]
+        for got, want in zip(shared[1:], own[1:]):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("A", [0.65, 2.0, 21.0])
+def test_residuals_on_the_shared_grid_equal_their_own(A):
+    p = PotentialParams(A=A)
+    grid = _grid_rows(range(12), p, 401)
+    levels = range(11)
+    assert residual_ode(levels, p, grid=_levels_on(grid, 1)).tobytes() == residual_ode(levels, p).tobytes()
+    got = commutator_residual(levels, p, grid=_levels_on(grid, 2))
+    assert got.tobytes() == commutator_residual(levels, p).tobytes()
 
 
 @pytest.mark.parametrize("A,cold", [(2.0, 31), (21.0, 31)])

@@ -342,6 +342,15 @@ def test_overlap_shapes():
     assert overlap([0, 1, 2], 4, p, rule).shape == (3, 1)
 
 
+def test_overlap_of_no_levels_is_an_empty_block():
+    rule = gauss_legendre(80)
+    p = PotentialParams(A=2.0)
+    empty = overlap([], [], p, rule)
+    assert empty.shape == (0, 0) and empty.dtype == float
+    assert overlap([], [1, 2], p, rule).shape == (0, 2)
+    assert overlap(range(3), [], p, rule).shape == (3, 0)
+
+
 def test_overlap_block_evaluates_each_level_once(monkeypatch):
     # one eval_state call covers every distinct level, each once
     seen = []

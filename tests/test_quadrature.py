@@ -136,6 +136,24 @@ def test_k_weighted_rejects_non_finite_integrand():
     assert "np.float64" not in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "bad", [lambda r: np.exp(np.where(r >= 30.0, 1000.0, 0.0)), lambda r: np.where(r >= 30.0, np.nan, r)], ids=["inf", "nan"]
+)
+def test_k_weighted_rejects_non_finite_upper_probe(bad):
+    # finite on every node, which all lie below r_max, but not at the upper tail probe r = r_max: an
+    # overflow used to print numpy's warning, and a NaN passed the tail test unnoticed
+    with pytest.raises(IntegrationError) as err:
+        integrate_semi_infinite_k_weight(bad, 0.5, r_max=30.0, rule=gauss_legendre(20))
+    assert str(err.value) == "integrand returned a non-finite value at probe 30.0"
+
+
+def test_k_weighted_upper_probe_with_underflowed_weight_contributes_zero():
+    # K_0.5(2 r_max) underflows to 0.0 at r_max = 400, so an infinite integrand there adds nothing
+    rule = gauss_legendre(20)
+    got = integrate_semi_infinite_k_weight(lambda r: np.where(r >= 400.0, np.inf, 1.0), 0.5, r_max=400.0, rule=rule)
+    assert got == integrate_semi_infinite_k_weight(np.ones_like, 0.5, r_max=400.0, rule=rule)
+
+
 def test_k_grid_cache_is_bounded():
     rule = gauss_legendre(20)
     for k in range(40):
