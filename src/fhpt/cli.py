@@ -74,20 +74,63 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+# JSON output is json.dumps(payload, indent=2) as the C encoder writes it, which it does only without
+# indent: each encoder below ends every item in the line break and indent of its depth, so that only the
+# brackets are laid out afterwards.  Every payload value is a scalar or a flat list or dict, except the
+# table, whose rows are flat.  The encoder escapes every control character inside a string, so each raw
+# line break in its text is a separator
+_JSON_FLAT = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+_JSON_ROWS = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+# allow_nan=False: a non-finite float raises instead of printing as NaN or Infinity
+_CSV_ROWS = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
+def _json_value(v) -> str:
+    # the text of a scalar or flat value of a top-level key
+    text = _JSON_FLAT(v)
+    return f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}" if isinstance(v, (list, dict)) and v else text
+
+
+def _json_rows(rows: list) -> str:
+    """The text of a table of flat lists or flat dicts of scalars at a top-level key, in one encoder pass."""
+    if not (rows and all(rows)):  # [] and an empty row print on one line
+        return json.dumps(rows, indent=2).replace("\n", "\n  ")
+    text = _JSON_ROWS(rows)
+    o, c = text[1], text[-2]
+    body = text[2:-2].replace(f"{c},\n      {o}", f"\n    {c},\n    {o}\n      ")
+    return f"[\n    {o}\n      {body}\n    {c}\n  ]"
+
+
+def _csv_rows(rows: list) -> list[str]:
+    """One CSV line per row of scalars, each cell as _fmt_cell spells it.
+
+    The compact JSON of int, finite float and bool cells is _fmt_cell's text, so one encoder pass
+    writes every line; a table with a str (quoted), None (null) or non-finite cell goes cell by cell."""
+    try:
+        text = _CSV_ROWS(rows)
+    except ValueError:  # a non-finite float
+        text = None
+    if not rows or text is None or '"' in text or "null" in text:
+        return [",".join(_fmt_cell(v) for v in row) for row in rows]
+    return text[2:-2].split("],[")
+
+
 def _write(
-    args: argparse.Namespace, payload: dict, header: str, config: dict, columns: list[str], rows: list, summary: dict
+    args: argparse.Namespace, payload: dict, table: str, header: str, config: dict, columns: list[str], rows: list,
+    summary: dict,
 ) -> None:
-    """Write payload as JSON, or as CSV: a header line, '# key=value' config lines, the table, then
-    '# key=value' summary lines."""
+    """Write payload as JSON, exactly json.dumps(payload, indent=2) with its table key's rows in one
+    encoder pass, or as CSV: a header line, '# key=value' config lines, the table, then '# key=value'
+    summary lines."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        items = (f"{_JSON_FLAT(k)}: {_json_rows(v) if k == table else _json_value(v)}" for k, v in payload.items())
+        text = "{\n  " + ",\n  ".join(items) + "\n}\n"
     else:
         lines = [header]
         for k, v in config.items():
             lines.append(f"# {k}={_fmt_cell(v)}")
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt_cell(v) for v in row))
+        lines.extend(_csv_rows(rows))
         for k, v in summary.items():
             lines.append(f"# {k}={_fmt_cell(v)}")
         text = "\n".join(lines) + "\n"
@@ -109,7 +152,7 @@ def _emit(args: argparse.Namespace, command: str, config: dict, columns: list[st
         "rows": rows,
         "summary": summary,
     }
-    _write(args, payload, f"# {TABLE_VERSION} command={command}", config, columns, rows, summary)
+    _write(args, payload, "rows", f"# {TABLE_VERSION} command={command}", config, columns, rows, summary)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -209,7 +252,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"all {len(report.checks)} checks passed", file=sys.stderr)
     columns = ["name", "identity", "residual", "tol", "pass"]
     rows = [[c.name, c.identity, c.residual, c.tol, c.passed] for c in report.checks]
-    _write(args, report.to_dict(), f"# {report.version}", report.config, columns, rows, {"pass": report.passed})
+    summary = {"pass": report.passed}
+    _write(args, report.to_dict(), "checks", f"# {report.version}", report.config, columns, rows, summary)
     return 0 if report.passed else 1
 
 

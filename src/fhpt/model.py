@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, _check_int
+from .errors import DomainError, _check_int, _check_ints
 from .quadrature import QuadratureRule
 from .special import gegenbauer_value
 
@@ -112,12 +112,18 @@ def derive_a_prime(params: PotentialParams) -> float:
 
 
 def momentum_level(n, params: PotentialParams) -> float | np.ndarray:
-    """Quantized momentum of level n: (c1^2 M / c) (n + a_prime / 2)^2; a sequence of levels gives one per level."""
+    """Quantized momentum of level n: (c1^2 M / c) (n + a_prime / 2)^2; a sequence of levels gives one per level.
+
+    Raises OverflowError when a momentum exceeds the double range."""
     levels = [n] if np.ndim(n) == 0 else list(n)
-    for k in levels:
-        _check_int("level index", k, 0)
+    _check_ints("level index", levels, 0)
     base = np.array(levels, dtype=float) + 0.5 * params.a_prime
-    return _one_or_rows(n, params.c1**2 * params.mass_scale / params.c * base * base)
+    with np.errstate(over="ignore"):
+        momenta = params.c1**2 * params.mass_scale / params.c * base * base
+    over = np.flatnonzero(np.isinf(momenta))
+    if len(over):
+        raise OverflowError(f"momentum of level {levels[over[0]]} exceeds the double range")
+    return _one_or_rows(n, momenta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,8 +237,7 @@ def overlap(m, n, params: PotentialParams, rule: QuadratureRule) -> float | np.n
     """
     rows = [m] if np.ndim(m) == 0 else list(m)
     cols = [n] if np.ndim(n) == 0 else list(n)
-    for k in rows + cols:  # before np.unique merges True into 1 and 2.0 into 2
-        _check_int("level index", k, 0, _MAX_LEVEL)
+    _check_ints("level index", rows + cols, 0, _MAX_LEVEL)  # before np.unique merges True into 1 and 2.0 into 2
     levels, at = np.unique(np.array(rows + cols, dtype=int), return_inverse=True)
     psi = eval_state([build_basis_state(k, params) for k in levels], 0.5 * np.pi * rule.nodes) if len(levels) else None
     w = 0.5 * np.pi * rule.weights / params.c1  # dt = dtau / c1

@@ -1,5 +1,6 @@
 """Command line contract: golden output, schemas, determinism, exit codes."""
 
+import argparse
 import cmath
 import json
 import math
@@ -765,6 +766,102 @@ def test_verify_json_schema_and_success():
     assert "all" in res.stderr and "passed" in res.stderr
 
 
+# the writer's byte contract: JSON is json.dumps(payload, indent=2), a CSV row joins _fmt_cell of its cells
+
+def _csv_parts(payload, table):
+    # the columns, CSV rows and summary of a table payload ("rows") or a verify report ("checks")
+    if table == "rows":
+        return payload["columns"], payload["rows"], payload["summary"]
+    checks = payload["checks"]
+    return list(checks[0]), [list(c.values()) for c in checks], {"pass": payload["pass"]}
+
+
+def _written(fmt, payload, table, capsys):
+    columns, rows, summary = _csv_parts(payload, table)
+    args = argparse.Namespace(format=fmt, out=None)
+    cli._write(args, payload, table, "# head", payload["config"], columns, rows, summary)
+    return capsys.readouterr().out
+
+
+def _csv_cell_by_cell(payload, table, header="# head"):
+    columns, rows, summary = _csv_parts(payload, table)
+    lines = [header, *(f"# {k}={cli._fmt_cell(v)}" for k, v in payload["config"].items()), ",".join(columns)]
+    lines += [",".join(cli._fmt_cell(v) for v in row) for row in rows]
+    lines += [f"# {k}={cli._fmt_cell(v)}" for k, v in summary.items()]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 0.1, 1e16, 123456789.0]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+WRITER_ROWS = {
+    "one row": [[0, 1.0]],
+    "2000 rows": [[n, n * 0.37 - 5.0, -1.0 / (n + 1)] for n in range(2000)],
+    "int cells": [[n, -n, 10**20] for n in range(5)],
+    "edge floats": [[n, v] for n, v in enumerate(EDGE_FLOATS)],
+    "bool cells": [[True, False, 1, 0.0]],
+    "str cells": [["level_mean", 9.5], ['q"uote\\ line\nbreak \u00e9', 1.0], ["", -0.0]],
+    "None cells": [[None, 1.0], [2, None]],
+    "non-finite floats": [[n, v, 1.0] for n, v in enumerate(NON_FINITE)],
+    "no rows": [],
+    "an empty row": [[1, 2.0], []],
+}
+
+
+def _table_payload(rows):
+    config = {"A": 2.0, "c1": 1e-300, "interval": "half", "tol_override": None, "nmax": 3}
+    width = len(rows[0]) if rows else 2
+    columns = [f"c{i}" for i in range(width)]
+    summary = {"a_prime": 2.0, "flag": True, "r_max": math.inf, "truncation_level": 40}
+    return {"version": TABLE_SCHEMA["properties"]["version"]["const"], "command": "test", "config": config,
+            "columns": columns, "rows": rows, "summary": summary}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", list(WRITER_ROWS))
+def test_table_writer_keeps_the_reference_bytes(case, fmt, capsys):
+    payload = _table_payload(WRITER_ROWS[case])
+    expected = json.dumps(payload, indent=2) + "\n" if fmt == "json" else _csv_cell_by_cell(payload, "rows")
+    assert _written(fmt, payload, "rows", capsys) == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_writer_keeps_the_reference_bytes(fmt, capsys):
+    residuals = [5.713734511977526e-13, 0.0, -0.0, 5e-324, math.nan, math.inf, 1.7976931348623157e308]
+    checks = [{"name": f"check-{i}", "identity": 'a "quoted"\tidentity', "residual": r, "tol": 1e-09, "pass": r < 1.0}
+              for i, r in enumerate(residuals)]
+    payload = {"version": "fhpt-report/1", "config": {"A": 2.0, "nmax": 10, "tol_override": None}, "checks": checks,
+               "pass": False}
+    expected = json.dumps(payload, indent=2) + "\n" if fmt == "json" else _csv_cell_by_cell(payload, "checks")
+    assert _written(fmt, payload, "checks", capsys) == expected
+
+
+EVERY_COMMAND = [
+    ["spectrum", "--nmax", "20"],
+    ["wavefunction", "--n", "3", "--samples", "7", "--interval", "half"],
+    ["coherent", "--z", "3@0.4"],
+    ["resolution", "--nmax", "3", "--quad-order", "40"],
+    ["expect", "--z", "2+1i"],
+    ["verify", "--nmax", "3", "--quad-order", "40"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+def test_every_command_writes_the_reference_bytes(argv, capsys):
+    # the JSON text is json.dumps of what it parses to, and the CSV text is that payload written cell by cell
+    assert main([*argv, "--format", "json"]) in (0, 1)
+    text = capsys.readouterr().out
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    if argv[0] == "verify":
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        table, header = "checks", f"# {payload['version']}"
+    else:
+        jsonschema.validate(payload, TABLE_SCHEMA)
+        table, header = "rows", f"# {payload['version']} command={payload['command']}"
+    assert main([*argv, "--format", "csv"]) in (0, 1)
+    assert capsys.readouterr().out == _csv_cell_by_cell(payload, table, header)
+
+
 # exit codes
 
 def test_exit_one_when_checks_fail():
@@ -870,6 +967,17 @@ def test_label_past_the_double_range_exits_two(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: I_3.0(inf) exceeds the double range\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["spectrum --nmax 1", "expect"])
+def test_momentum_past_the_double_range_exits_two(command, fmt):
+    # numpy's overflow warning came first, then rows of inf (in JSON the non-standard token Infinity),
+    # and the command exited 0
+    res = run_cli(*command.split(), "--A", "5e153", "--c1", "10", "--c", "0.01", "--format", fmt)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: momentum of level 0 exceeds the double range\n"
 
 
 def test_verify_covers_thirty_levels():

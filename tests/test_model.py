@@ -153,6 +153,40 @@ def test_level_index_rejects_bool():
             call()
 
 
+BAD_LEVELS = [True, False, 2.0, 2.5, -1, np.float64(1.0), np.bool_(True), "1", None]
+
+
+@pytest.mark.parametrize("bad", BAD_LEVELS, ids=repr)
+def test_level_sequences_reject_what_one_level_rejects(bad):
+    # a sequence is checked in one pass; the message names the first level it rejects, as for one level
+    p, rule = PotentialParams(A=2.0), gauss_legendre(20)
+    for call, span in (
+        (lambda levels: momentum_level(levels, p), "an integer >= 0"),
+        (lambda levels: overlap(levels, [1], p, rule), "an integer in [0, 100]"),
+    ):
+        for levels in (bad, [bad], [0, 1, bad, 3], [3, bad, -2, 4.5]):
+            with pytest.raises(DomainError) as info:
+                call(levels)
+            assert str(info.value) == f"level index must be {span}, got {bad!r}"
+    with pytest.raises(DomainError, match=r"got -1$"):
+        momentum_level([0, -1, 2.5], p)
+    with pytest.raises(DomainError, match=r"got 101$"):
+        overlap([0, 101, 2.5], 1, p, rule)
+
+
+def test_momentum_past_the_double_range_names_its_first_level():
+    # c1^2 M / c = 1e306 at A = 1, so (n + 1)^2 1e306 overflows from level 13 on; numpy's overflow
+    # warning, which pytest makes an error here, is not raised
+    p = PotentialParams(A=1.0, c1=1e153)
+    assert momentum_level(12, p) == pytest.approx(1.69e308, rel=1e-15)
+    with pytest.raises(OverflowError, match=r"^momentum of level 13 exceeds the double range$"):
+        momentum_level(range(20), p)
+    with pytest.raises(OverflowError, match=r"^momentum of level 20 exceeds"):
+        momentum_level([2, 20, 13], p)
+    with pytest.raises(OverflowError, match=r"^momentum of level 14 exceeds"):
+        momentum_level(14, p)
+
+
 # state construction and evaluation
 
 def test_build_state_domain():
