@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _check_int
-from .model import PotentialParams, _grid_rows, _one_or_rows, _poly_derivatives
+from .model import PotentialParams, _as_list, _grid_rows, _one_or_rows, _poly_derivatives
 
 __all__ = [
     "LadderCoefficients",
@@ -57,30 +57,30 @@ def ladder_coefficients(n: int, L: float) -> LadderCoefficients:
     )
 
 
-def _raise_pref(k, L: float):
-    return np.sqrt((2.0 * k + 2.0 * L + 3.0) / (2.0 * k + 2.0 * L + 1.0))
-
-
-def _lower_pref(k, L: float):
-    return np.sqrt((2.0 * k + 2.0 * L - 1.0) / (2.0 * k + 2.0 * L + 1.0))
+def _bracket(raising: bool, k, step: int, L: float, y, rows) -> list:
+    # sqrt((2j + 2L + 1 - 2s) / (2j + 2L + 1)) (c y u + s (1 - y^2) u'), raising with c = j + 2 lam, s = -1 and
+    # lowering with c = j, s = 1, for rows u = scale C_j^lam, u' of level j = k + step, and given u'' its
+    # y-derivative; zeros below the first level with an image.  The raising c is (k + 2 lam) + step, as
+    # (k - 1) + 2 lam can round otherwise, and the goldens pin it
+    u, du, *d2u = rows
+    j, s, first = k + step, -1.0 if raising else 1.0, 0 if raising else 1
+    c = k + 2.0 * (L + 0.5) + step if raising else j
+    h, w = 2.0 * np.maximum(j, first) + 2.0 * L, 1.0 - y * y
+    pref = np.sqrt((h + (1.0 - 2.0 * s)) / (h + 1.0))
+    brackets = [c * y * u + s * w * du] + [c * u + (c - 2.0 * s) * y * du + s * w * d for d in d2u]
+    return [np.where(j >= first, pref * b, 0.0) for b in brackets]
 
 
 def _ladder_image(states, y, rows, raising: bool) -> np.ndarray | float:
-    # (1 - y^2)^(lam/2) times the raising or lowering bracket in y, u = scale * C_k^lam and u', one row per
-    # state of level k; rows holds u and u' when the caller already has them
-    sts = [states] if np.ndim(states) == 0 else list(states)
+    # (1 - y^2)^(lam/2) times each state's bracket; rows holds u = scale * C_k^lam and u' if the caller has them
+    sts, one = _as_list(states)
     yv = np.asarray(y, dtype=float)
     if rows is None:
         scale, raw = _poly_derivatives(sts, yv, 1)
         rows = [scale * r for r in raw]
-    u, du = rows
     k = np.array([s.n for s in sts]).reshape((-1,) + (1,) * yv.ndim)
-    L, lam, w = sts[0].L, sts[0].lam, 1.0 - yv * yv
-    if raising:
-        bracket = _raise_pref(k, L) * ((k + 2.0 * lam) * yv * u - w * du)
-    else:  # the ground rows are exact zeros, and their prefactor is never formed
-        bracket = np.where(k > 0, _lower_pref(np.maximum(k, 1), L) * (k * yv * u + w * du), 0.0)
-    return _one_or_rows(states, w ** (0.5 * lam) * bracket, y)
+    (bracket,) = _bracket(raising, k, 0, sts[0].L, yv, rows)
+    return _one_or_rows(one, (1.0 - yv * yv) ** (0.5 * sts[0].lam) * bracket, y)
 
 
 def apply_raising(states):
@@ -101,27 +101,17 @@ def commutator_residual(n, params: PotentialParams, grid=None) -> float | np.nda
     map acts on them with the level-shifted prefactor.  The result is compared
     to 2 (n + L + 1/2) psi_n on a tau grid; returns the max deviation scaled by
     max |psi_n|, or one such residual per level for a sequence of levels.
-    grid, if given, must be the rows that _grid_rows(n, params, 201) returns
+    grid, if given, must be the rows that _grid_rows returns on 201 points
     for the same levels and well.
     """
-    states, y, cq, psi, u, du, d2u = _grid_rows(n, params, 201) if grid is None else grid
+    levels, one = _as_list(n)
+    states, y, cq, psi, u, du, d2u = _grid_rows(levels, params, 201) if grid is None else grid
     k = np.array([s.n for s in states])[:, None]
-    L, lam = params.L, params.L + 0.5
-    w = 1.0 - y * y
-
-    a = k + 2.0 * lam
-    up = _raise_pref(k, L) * (a * y * u - w * du)
-    d_up = _raise_pref(k, L) * (a * u + (a + 2.0) * y * du - w * d2u)
-    up_down = _lower_pref(k + 1, L) * ((k + 1) * y * up + w * d_up)
-
-    # lower first; zero on the ground level, whose prefactors are never formed
-    k1 = np.maximum(k, 1)
-    down = _lower_pref(k1, L) * (k * y * u + w * du)
-    d_down = _lower_pref(k1, L) * (k * u + (k - 2.0) * y * du + w * d2u)
-    down_up = np.where(k > 0, _raise_pref(k1 - 1, L) * ((a - 1.0) * y * down - w * d_down), 0.0)
-
-    resid = cq**lam * (up_down - down_up - 2.0 * (k + L + 0.5) * u)
-    return _one_or_rows(n, np.max(np.abs(resid), axis=1) / np.max(np.abs(psi), axis=1))
+    L = params.L
+    (up_down,) = _bracket(False, k, 1, L, y, _bracket(True, k, 0, L, y, (u, du, d2u)))
+    (down_up,) = _bracket(True, k, -1, L, y, _bracket(False, k, 0, L, y, (u, du, d2u)))
+    resid = cq ** (L + 0.5) * (up_down - down_up - 2.0 * (k + L + 0.5) * u)
+    return _one_or_rows(one, np.max(np.abs(resid), axis=1) / np.max(np.abs(psi), axis=1))
 
 
 def casimir_eigenvalue(n: int, params: PotentialParams) -> float:

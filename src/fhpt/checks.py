@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import apply_lowering, apply_raising, casimir_eigenvalue, commutator_residual, ladder_coefficients
 from .coherent import _diagonal_moments, build_coherent_state, lowering_eigenstate_residual, radial_weight_moment
 from .errors import DomainError, _check_int
-from .model import _MAX_LEVEL, PotentialParams, _grid_rows, momentum_level, overlap, residual_ode
+from .model import _MAX_LEVEL, PotentialParams, _grid_rows, _levels_on, momentum_level, overlap, residual_ode
 from .quadrature import _MAX_ORDER, default_r_max, gauss_legendre, integrate_semi_infinite_k_weight
 from .special import bessel_i, bessel_k
 
@@ -96,12 +96,6 @@ def _result(name: str, identity: str, residual: float, tol: float, override: flo
     return CheckResult(name, identity, float(residual), float(tol), bool(residual < tol))
 
 
-def _levels_on(grid, step: int):
-    # levels 0..nmax of a grid of levels 0..nmax + 1, on every step-th tau point
-    states, *arrays = grid
-    return (states[:-1], *(a[::step] if a.ndim == 1 else a[:-1, ::step] for a in arrays))
-
-
 def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     if config is None:
         config = CheckConfig()
@@ -109,8 +103,7 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     L = config.L
     checks: list[CheckResult] = []
 
-    # one 401-point grid of levels 0..nmax + 1 serves the ODE, ladder and commutator checks: np.linspace's
-    # [::2] and [::4] equal its 201- and 101-point grids bit for bit, so each check sees the rows it would build
+    # one 401-point grid of levels 0..nmax + 1 serves the ODE, ladder and commutator checks
     grid = _grid_rows(range(config.nmax + 2), config, 401)
 
     # master equation residual over every level
@@ -134,10 +127,11 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     # ladder maps against their eigenvalue relations, with targets from levels
     # 0..nmax + 1; row 0 of the lowering images is the ground level's
     states, y, _, _, u, du, _ = _levels_on(grid, 4)
+    _, _, _, psi, *_ = grid
     up = apply_raising(states)(y, (u, du))
     dn = apply_lowering(states)(y, (u, du))
-    target_up = np.array([ladder_coefficients(n, L).raise_eig for n in levels])[:, None] * grid[3][1:, ::4]
-    target_dn = np.array([ladder_coefficients(n, L).lower_eig for n in levels[1:]])[:, None] * grid[3][:-2, ::4]
+    target_up = np.array([ladder_coefficients(n, L).raise_eig for n in levels])[:, None] * psi[1:, ::4]
+    target_dn = np.array([ladder_coefficients(n, L).lower_eig for n in levels[1:]])[:, None] * psi[:-2, ::4]
     worst_up = (np.max(np.abs(up - target_up), axis=1) / np.max(np.abs(target_up), axis=1)).max(initial=0.0)
     worst_dn = (np.max(np.abs(dn[1:] - target_dn), axis=1) / np.max(np.abs(target_dn), axis=1)).max(initial=0.0)
     checks.append(_result("ladder-raising", "raising-eigenvalue", worst_up, 1e-9, ov))
@@ -146,7 +140,7 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
 
     r = commutator_residual(levels, config, grid=_levels_on(grid, 2)).max()
     checks.append(_result("commutator", "ladder-commutator", r, 1e-9, ov))
-    del grid, u, du  # release the shared rows before the coherent states are built
+    del grid, psi, u, du  # release the shared rows before the coherent states are built
 
     cas = L * L - 0.25
     r = max(abs(casimir_eigenvalue(n, config) - cas) for n in range(21))

@@ -65,7 +65,7 @@ def build_coherent_state(z: complex, params: PotentialParams, tail_tol: float = 
     Magnitudes follow the ratio recurrence |c_n| / |c_(n-1)| = |z| / sqrt(n (n + 2L)),
     accumulated in log space; phases are n arg(z).  The normalizer
     I_(2L)(2|z|) enters through its logarithm, so it may lie below the double
-    range; it raises OverflowError once 2 |z| exceeds the exponential range.
+    range; it raises OverflowError where I_(2L)(2 |z|) exceeds the double range.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):

@@ -97,6 +97,11 @@ def derive_a_prime(params: PotentialParams) -> float:
     regular root (a_prime >= 2 whenever A (A - 1) >= 0).  Requires
     A (A - 1) >= -c1^2 M / 4, the borderline of a real exponent, and
     4 A (A - 1) / (c1^2 M) below the largest double, so that a_prime is finite.
+
+    This root is a boundary condition.  For g = A (A - 1) / (c1^2 M) in
+    [-1/4, 3/4), that is 1/2 <= lam < 3/2, both exponents lam and 1 - lam give
+    square-integrable solutions at the walls; the larger root, taken here,
+    is the Friedrichs extension.  From g = 3/4 on, only lam is admissible.
     """
     scale = params.c1**2 * params.mass_scale
     radicand = 1.0 + 4.0 * params.A * (params.A - 1.0) / scale
@@ -115,7 +120,7 @@ def momentum_level(n, params: PotentialParams) -> float | np.ndarray:
     """Quantized momentum of level n: (c1^2 M / c) (n + a_prime / 2)^2; a sequence of levels gives one per level.
 
     Raises OverflowError when a momentum exceeds the double range."""
-    levels = [n] if np.ndim(n) == 0 else list(n)
+    levels, one = _as_list(n)
     _check_ints("level index", levels, 0)
     base = np.array(levels, dtype=float) + 0.5 * params.a_prime
     with np.errstate(over="ignore"):
@@ -123,7 +128,7 @@ def momentum_level(n, params: PotentialParams) -> float | np.ndarray:
     over = np.flatnonzero(np.isinf(momenta))
     if len(over):
         raise OverflowError(f"momentum of level {levels[over[0]]} exceeds the double range")
-    return _one_or_rows(n, momenta)
+    return _one_or_rows(one, momenta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,9 +187,16 @@ def _poly_derivatives(states: list[BasisState], y, order: int) -> tuple[np.ndarr
     return scale, [coefs[j] * gegenbauer_value(ns - j, lam + j, y) for j in range(order + 1)]
 
 
-def _one_or_rows(key, rows: np.ndarray, x=0.0):
-    # the rows for a sequence key; for one state or level its row, a float at a scalar point x
-    return rows if np.ndim(key) else float(rows[0]) if np.isscalar(x) else rows[0]
+def _as_list(key) -> tuple[list, bool]:
+    # a level or state, or a sequence of them, as a list and whether it was one item: whatever numpy reads as
+    # 0-d is one, None and bools too; a list, tuple or range is many, without the array np.ndim would build
+    one = not isinstance(key, (list, tuple, range)) and np.ndim(key) == 0
+    return [key] if one else list(key), one
+
+
+def _one_or_rows(one: bool, rows: np.ndarray, x=0.0):
+    # the rows for a sequence; for one state or level its row, a float at a scalar point x
+    return rows if not one else float(rows[0]) if np.isscalar(x) else rows[0]
 
 
 def eval_state(states, tau) -> np.ndarray | float:
@@ -192,20 +204,27 @@ def eval_state(states, tau) -> np.ndarray | float:
     t = np.asarray(tau, dtype=float)
     if np.any(np.abs(t) >= 0.5 * np.pi):
         raise DomainError("tau must lie strictly inside (-pi/2, pi/2)")
-    sts = [states] if np.ndim(states) == 0 else list(states)
+    sts, one = _as_list(states)
     scale, (c,) = _poly_derivatives(sts, np.sin(t), 0)
-    return _one_or_rows(states, scale * np.cos(t) ** sts[0].lam * c, tau)
+    return _one_or_rows(one, scale * np.cos(t) ** sts[0].lam * c, tau)
 
 
-def _grid_rows(n, params: PotentialParams, points: int):
-    # level(s) n on `points` tau points 0.05 inside the interval ends: the basis states, y = sin(tau),
-    # cos(tau), psi, and scale * C_n^lam(y) with its first two y-derivatives, one row per level
+def _grid_rows(levels, params: PotentialParams, points: int):
+    # a sequence of levels on `points` tau points 0.05 inside the interval ends: the basis states,
+    # y = sin(tau), cos(tau), psi, and scale * C_n^lam(y) with its first two y-derivatives, one row per level
     tau = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, points)
-    states = [build_basis_state(k, params) for k in ([n] if np.ndim(n) == 0 else n)]
+    states = [build_basis_state(k, params) for k in levels]
     y, cq = np.sin(tau), np.cos(tau)
     scale, (c, dc, d2c) = _poly_derivatives(states, y, 2)
     psi = scale * cq ** (params.L + 0.5) * c
     return states, y, cq, psi, scale * c, scale * dc, scale * d2c
+
+
+def _levels_on(grid, step: int):
+    # levels 0..nmax of a 401-point _grid_rows grid of levels 0..nmax + 1, on every step-th tau point:
+    # np.linspace's [::2] and [::4] equal its 201- and 101-point grids, so these are their rows bit for bit
+    states, *arrays = grid
+    return (states[:-1], *(a[::step] if a.ndim == 1 else a[:-1, ::step] for a in arrays))
 
 
 def residual_ode(n, params: PotentialParams, momentum: float | None = None, grid=None) -> float | np.ndarray:
@@ -217,16 +236,17 @@ def residual_ode(n, params: PotentialParams, momentum: float | None = None, grid
     detector for off-spectrum values.  The grid keeps a 0.05 margin from
     the interval ends where sec^2 amplifies roundoff.  A sequence of levels
     gives one residual per level.  grid, if given, must be the rows that
-    _grid_rows(n, params, 401) returns for the same levels and well.
+    _grid_rows returns on 401 points for the same levels and well.
     """
-    states, y, cq, psi, u, du, d2u = _grid_rows(n, params, 401) if grid is None else grid
+    levels, one = _as_list(n)
+    states, y, cq, psi, u, du, d2u = _grid_rows(levels, params, 401) if grid is None else grid
     M, lam = params.mass_scale, params.L + 0.5
     # psi'' in tau via the chain rule on the envelope-times-polynomial form
     core = cq**lam * ((1.0 - y * y) * d2u - (2.0 * lam + 1.0) * y * du - lam * lam * u)
     d2 = core + lam * (lam - 1.0) * cq ** (lam - 2.0) * u
     P = momentum_level([s.n for s in states], params)[:, None] if momentum is None else float(momentum)
     res = params.c1**2 * d2 + (params.c / M) * P * psi - params.A * (params.A - 1.0) / M * (1.0 / cq**2) * psi
-    return _one_or_rows(n, np.max(np.abs(res), axis=1) / np.max(np.abs(psi), axis=1))
+    return _one_or_rows(one, np.max(np.abs(res), axis=1) / np.max(np.abs(psi), axis=1))
 
 
 def overlap(m, n, params: PotentialParams, rule: QuadratureRule) -> float | np.ndarray:
@@ -235,8 +255,8 @@ def overlap(m, n, params: PotentialParams, rule: QuadratureRule) -> float | np.n
     m and n are each a level or a sequence of levels: two levels give a float, anything else
     the len(m) x len(n) block.  Each distinct level is evaluated once.  The basis is orthonormal.
     """
-    rows = [m] if np.ndim(m) == 0 else list(m)
-    cols = [n] if np.ndim(n) == 0 else list(n)
+    rows, one_row = _as_list(m)
+    cols, one_col = _as_list(n)
     _check_ints("level index", rows + cols, 0, _MAX_LEVEL)  # before np.unique merges True into 1 and 2.0 into 2
     levels, at = np.unique(np.array(rows + cols, dtype=int), return_inverse=True)
     psi = eval_state([build_basis_state(k, params) for k in levels], 0.5 * np.pi * rule.nodes) if len(levels) else None
@@ -247,4 +267,4 @@ def overlap(m, n, params: PotentialParams, rule: QuadratureRule) -> float | np.n
     for a in range(len(levels)):
         gram[a, a:] = gram[a:, a] = np.add.reduce(w * psi[a] * psi[a:], axis=1)
     block = gram[np.ix_(at[: len(rows)], at[len(rows) :])]
-    return float(block[0, 0]) if np.ndim(m) == np.ndim(n) == 0 else block
+    return float(block[0, 0]) if one_row and one_col else block

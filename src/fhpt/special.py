@@ -93,7 +93,6 @@ def gegenbauer_value(n, lam: float, y):
 # Modified Bessel functions of real order
 
 _MAX_LOG = math.log(sys.float_info.max)
-_OVERFLOW_LOG = 708.0  # ln of the largest double, with a little headroom
 _TOL = 1e-14  # relative tail tolerance of every series
 
 
@@ -123,7 +122,8 @@ def bessel_i(nu: float, x: float) -> float:
     space, so extreme (nu, x) corners neither overflow nor flush to zero
     early: only the final product can fall below the normal double range,
     and it is 0.0 only where I_nu(x) itself underflows.  Raises OverflowError
-    above the range, near x ~ 713, and for x = inf; DomainError for NaN or an
+    where ln I_nu(x) exceeds ln of the largest double (x = inf too), up front
+    if the largest term of the series does; DomainError for NaN or an
     infinite order.
     """
     if not 0.0 <= nu < math.inf:
@@ -132,9 +132,15 @@ def bessel_i(nu: float, x: float) -> float:
         raise DomainError(f"bessel_i requires x >= 0, got {x!r}")
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
-    if not x - 0.5 * math.log(2.0 * math.pi * x) <= _OVERFLOW_LOG:  # inf - inf is NaN
+    # every term of the series bounds I_nu(x) below, the largest is at k = floor((sqrt(nu^2 + x^2) - nu) / 2),
+    # and as I_nu grows in x, a term at min(x, 1e300), where lgamma stays finite, bounds it too
+    xb = min(x, 1e300)
+    k = (math.hypot(nu, xb) - nu) // 2.0
+    if (2.0 * k + nu) * math.log(0.5 * xb) - math.lgamma(k + 1.0) - math.lgamma(k + nu + 1.0) > _MAX_LOG:
         raise OverflowError(f"I_{nu}({x}) exceeds the double range")
     log_t0, total = _bessel_i_series(nu, x)
+    if log_t0 + math.log(total) > _MAX_LOG:
+        raise OverflowError(f"I_{nu}({x}) exceeds the double range")
     return math.exp(log_t0) * total
 
 
@@ -170,8 +176,9 @@ def _k_temme(mu: float, x):
         odd = odd * mu2 + a
     fact = math.pi * mu / math.sin(math.pi * mu) if mu else 1.0
     xp = np if isinstance(x, np.ndarray) else math
-    half_x = 0.5 * x
-    d = -xp.log(half_x)
+    lost = 0.5 * x == 0.0  # at x = 5e-324 alone; x stands in for x/2, and the lost 2 goes into d and K_{mu+1}
+    half_x = 0.5 * x + lost * x
+    d = -xp.log(half_x) + lost * math.log(2.0)
     e = mu * d
     # sinh(mu d) / mu -> d as mu -> 0
     ff = fact * (-odd * xp.cosh(e) + even * (xp.sinh(e) / mu if mu else d))
@@ -196,7 +203,7 @@ def _k_temme(mu: float, x):
             break
     else:
         raise ConvergenceError("K series did not converge")
-    return k_mu, k_mu1 / half_x
+    return k_mu, k_mu1 / half_x * (1.0 + lost)
 
 
 # Trapezoid rule, step 0.3 on s = 0 ... 6.3, for DLMF 10.32.9 with s = sqrt(2x) sinh(t/2):
@@ -224,29 +231,26 @@ def _k_trapezoid(mu: float, x):
 
 
 def _k_upward(nl: int, mu: float, x, k_mu, k_mu1):
-    # K_{mu+j+1} = K_{mu+j-1} + 2 (mu+j)/x K_{mu+j} up to K_{mu+nl}, and no
-    # further: K_{mu+nl+1} can overflow where K_{mu+nl} does not
+    # K_{mu+j+1} = K_{mu+j-1} + 2 (mu+j)/x K_{mu+j} up to K_{mu+nl}, and no further: K_{mu+nl+1} can
+    # overflow where K_{mu+nl} does not.  A value past the range is inf, first at the smallest x, and raises
     if nl == 0:
         return k_mu
     for j in range(1, nl):
         k_mu, k_mu1 = k_mu1, k_mu + 2.0 * (mu + j) / x * k_mu1
+    if (k_mu1.max() if isinstance(k_mu1, np.ndarray) else k_mu1) == math.inf:
+        raise OverflowError(f"K_{nl + mu}({np.min(x)}) exceeds the double range")
     return k_mu1
 
 
 def _k_order(nu: float, x_min: float) -> tuple[int, float]:
-    # Order set-up shared by both K kernels: |nu| = nl + mu with |mu| <= 1/2 (K
-    # is even in its order), once K_nu at the smallest argument is known to fit
-    # the double range (small-x magnitude estimate ~ Gamma(nu)/2 * (2/x)^nu).
-    # At any x an order whose K lies provably above the range is rejected before
-    # the recurrence runs nu steps: with ln K_nu(x) = ln(1/2 (2/x)^nu
-    # int_0^inf e^(-s - x^2/4s) s^(nu-1) ds) (DLMF 10.32.10), keeping s > nu - 1,
-    # below the median of the Gamma(nu) law, gives
+    # Order set-up shared by both K kernels: |nu| = nl + mu with |mu| <= 1/2 (K is even in its order).  An
+    # order whose K at the smallest argument is provably above the double range is rejected before the
+    # recurrence runs nu steps: with ln K_nu(x) = ln(1/2 (2/x)^nu int_0^inf e^(-s - x^2/4s) s^(nu-1) ds)
+    # (DLMF 10.32.10), keeping s > nu - 1, below the median of the Gamma(nu) law, gives
     #   ln K_nu(x) > ln Gamma(nu) - 2 ln 2 + nu ln(2/x) - x^2 / (4 (nu - 1)),  nu > 1.
     nu = abs(nu)
     if not nu < math.inf:
         raise DomainError(f"bessel_k requires a finite order, got {nu!r}")
-    if x_min < 2.0 and nu > 0.0 and math.lgamma(nu) - math.log(2.0) + nu * math.log(2.0 / x_min) > _OVERFLOW_LOG:
-        raise OverflowError(f"K_{nu}({x_min}) exceeds the double range")
     if nu > 1.0:
         x = float(x_min)  # float products overflow to inf quietly (numpy scalar ones warn); ln x is inf at x = inf
         if math.lgamma(nu) - math.log(4.0) + nu * (math.log(2.0) - math.log(x)) - x * x / (4.0 * (nu - 1.0)) > _MAX_LOG:
@@ -262,17 +266,14 @@ def bessel_k(nu: float, x: float) -> float:
     fixed trapezoid sum of their integral for x > 2; upward recurrence carries
     them to nu.  The value underflows quietly to 0.0 from x ~ 745 on (x = inf
     too), so it can serve as a quadrature weight tail.  Raises OverflowError
-    above the double range (large order), before the recurrence runs where a
-    lower bound on ln K_nu(x) already exceeds it; DomainError for NaN.
+    above the double range, up front where a lower bound on ln K_nu(x) is
+    above it, else once the recurrence meets inf; DomainError for NaN.
     """
     if not x > 0.0:
         raise DomainError(f"bessel_k requires x > 0, got {x!r}")
     nl, mu = _k_order(nu, x)
     k_mu, k_mu1 = _k_trapezoid(mu, x) if x > 2.0 else _k_temme(mu, x)
-    k = _k_upward(nl, mu, x, k_mu, k_mu1)
-    if k == math.inf:  # within the bounds _k_order checks, but above the range
-        raise OverflowError(f"K_{abs(nu)}({x}) exceeds the double range")
-    return k
+    return _k_upward(nl, mu, x, k_mu, k_mu1)
 
 
 def _bessel_k_array(nu: float, x: np.ndarray) -> np.ndarray:
@@ -283,6 +284,7 @@ def _bessel_k_array(nu: float, x: np.ndarray) -> np.ndarray:
     nl, mu = _k_order(nu, float(x.min()))
     k_mu, k_mu1 = np.empty_like(x), np.empty_like(x)
     small = x <= 2.0
-    k_mu[small], k_mu1[small] = _k_temme(mu, x[small])
-    k_mu[~small], k_mu1[~small] = _k_trapezoid(mu, x[~small])
-    return _k_upward(nl, mu, x, k_mu, k_mu1)
+    with np.errstate(over="ignore"):  # a value past the range is inf, which _k_upward raises on
+        k_mu[small], k_mu1[small] = _k_temme(mu, x[small])
+        k_mu[~small], k_mu1[~small] = _k_trapezoid(mu, x[~small])
+        return _k_upward(nl, mu, x, k_mu, k_mu1)

@@ -9,9 +9,9 @@ import pytest
 
 from fhpt import coherent, model, special
 from fhpt.algebra import commutator_residual
-from fhpt.checks import CheckConfig, _levels_on, run_checks
+from fhpt.checks import CheckConfig, run_checks
 from fhpt.errors import DomainError
-from fhpt.model import PotentialParams, _grid_rows, overlap, residual_ode
+from fhpt.model import PotentialParams, _grid_rows, _levels_on, overlap, residual_ode
 from fhpt.quadrature import _k_weighted_grid, gauss_legendre
 
 EXPECTED_CHECKS = {

@@ -8,7 +8,7 @@ import pytest
 import scipy.special as sps
 
 from fhpt import model
-from fhpt.algebra import ladder_coefficients
+from fhpt.algebra import apply_raising, commutator_residual, ladder_coefficients
 from fhpt.coherent import resolution_of_identity_check
 from fhpt.errors import DomainError
 from fhpt.model import (
@@ -235,6 +235,33 @@ def test_numpy_integer_levels_match_python_ints():
     assert np.array_equal(overlap(levels, levels, p, rule), overlap(range(5), range(5), p, rule))
 
 
+@pytest.mark.parametrize(
+    "name", ["momentum_level", "residual_ode", "commutator_residual", "overlap", "eval_state", "apply_raising"]
+)
+def test_each_level_form_gives_the_bytes_of_the_list_form(name):
+    # levels as a list, tuple, range or int64 array (states as a list or tuple) give the bytes of the list
+    # form, and one level (an int or np.int64) or one state gives the float of its one-item list
+    p, rule = PotentialParams(A=2.7), gauss_legendre(40)
+    if name in ("eval_state", "apply_raising"):
+        call = {"eval_state": lambda sts: eval_state(sts, 0.3), "apply_raising": lambda sts: apply_raising(sts)(0.3)}
+        call = call[name]
+        states = [build_basis_state(n, p) for n in range(5)]
+        forms, singles = [states, tuple(states)], [states[3]]
+    else:
+        call = {
+            "momentum_level": lambda levels: momentum_level(levels, p),
+            "residual_ode": lambda levels: residual_ode(levels, p),
+            "commutator_residual": lambda levels: commutator_residual(levels, p),
+            "overlap": lambda levels: overlap(levels, levels, p, rule),
+        }[name]
+        forms = [list(range(5)), tuple(range(5)), range(5), np.arange(5, dtype=np.int64)]
+        singles = [3, np.int64(3)]
+    want = call(forms[0]).tobytes()
+    for levels in forms:
+        assert call(levels).tobytes() == want, type(levels)
+    for one in singles:
+        got = call(one)
+        assert type(got) is float and got == call([one]).flat[0], type(one)
 
 
 def test_state_parity():

@@ -180,6 +180,19 @@ def test_bessel_i_overflow_guard():
         bessel_i(0.0, 800.0)
 
 
+@pytest.mark.parametrize("nu,x", [(300.0, 720.0), (600.0, 800.0), (0.6471689038018252, 712.693731533456)])
+def test_bessel_i_below_the_top_of_the_range_is_finite(nu, x):
+    # an order-blind guard on x alone rejected these; I_300(720) is the normalizer of `coherent --A 150.5 --z 360`
+    assert bessel_i(nu, x) == pytest.approx(float(mpmath.besseli(nu, x)), rel=1e-12)
+
+
+@pytest.mark.parametrize("nu,x", [(3.0, 714.0), (300.0, 900.0), (3.0, 1e306), (0.0, sys.float_info.max)])
+def test_bessel_i_above_the_range_raises(nu, x):
+    # I_3(714) is rejected once summed, the others by the largest term of the series
+    with pytest.raises(OverflowError, match=r"^I_.* exceeds the double range$"):
+        bessel_i(nu, x)
+
+
 def test_bessel_i_domain():
     for nu, x in ((-1.0, 2.0), (1.0, -2.0), (1.0, math.nan), (math.nan, 2.0), (math.inf, 2.0)):
         with pytest.raises(DomainError):
@@ -302,6 +315,26 @@ def test_bessel_k_array_overflow_matches_scalar():
     with pytest.raises(OverflowError) as scalar:
         bessel_k(45.0, float(x[0]))
     assert str(arr.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize(
+    "nu,x", [(150.0, 0.9594350439778925), (1.0, 1e-308), (0.5, 1e-320), (0.0, 5e-324), (0.9, 5e-324), (0.5, 5e-324)]
+)
+def test_bessel_k_below_the_top_of_the_range_is_finite(nu, x):
+    # a small-x estimate that is not a bound rejected the first three; at 5e-324, 0.5 x rounds to 0
+    ref = float(mpmath.besselk(nu, x))
+    assert bessel_k(nu, x) == pytest.approx(ref, rel=1e-12)
+    assert _bessel_k_array(nu, np.array([x, 1.0]))[0] == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu,x", [(186.34, 3.0), (913.74, 300.0), (1.0, 5e-324), (0.99, 1e-323)])
+def test_bessel_k_array_past_the_range_raises_as_its_smallest_node(nu, x):
+    # these pass the lower bound on ln K and overflow only in the recurrence, where a grid gave inf
+    with pytest.raises(OverflowError) as scalar:
+        bessel_k(nu, x)
+    with pytest.raises(OverflowError) as grid:
+        _bessel_k_array(nu, np.array([2.0 * x, x, 4.0 * x]))
+    assert str(grid.value) == str(scalar.value) == f"K_{nu}({x}) exceeds the double range"
 
 
 def test_bessel_k_array_domain():
