@@ -13,7 +13,8 @@ Two normalization conventions are supported.  "full" (default) makes the
 states orthonormal in the t measure over the whole interval; "half" keeps
 the half-interval constant familiar from the associated-Legendre route, which
 is orthonormal only within a parity class.  The underlying states differ by a
-constant factor only.
+constant factor only.  Each state's constant is one log-space sum of its
+Gamma ratios, exponentiated once, so it stays finite where a ratio would not.
 """
 
 from __future__ import annotations
@@ -142,14 +143,6 @@ class BasisState:
     scale: float
 
 
-def _half_interval_norm(n: int, L: float) -> float:
-    # sqrt((2n + 2L + 1) n! / Gamma(n + 2L + 1)), the half-interval constant
-    # of the associated-Legendre normalization
-    return math.exp(
-        0.5 * (math.log(2.0 * n + 2.0 * L + 1.0) + math.lgamma(n + 1.0) - math.lgamma(n + 2.0 * L + 1.0))
-    )
-
-
 def build_basis_state(n: int, params: PotentialParams, interval: str = "full") -> BasisState:
     """Construct level n for the given parameters.
 
@@ -162,16 +155,17 @@ def build_basis_state(n: int, params: PotentialParams, interval: str = "full") -
     if interval not in ("full", "half"):
         raise DomainError(f"interval must be 'full' or 'half', got {interval!r}")
     L = params.L
-    lam = L + 0.5
-    norm = _half_interval_norm(int(n), L) * math.sqrt(params.c1)
+    # ln of the associated-Legendre half-interval constant sqrt(c1 (2n + 2L + 1) n! / Gamma(n + 2L + 1)), over
+    # sqrt(2) for "full"; scale adds ln Gamma(2L + 1) / (2^L Gamma(L + 1)), the Gegenbauer-to-Legendre constant
+    log_norm = 0.5 * (math.log(2.0 * n + 2.0 * L + 1.0) + math.lgamma(n + 1.0) - math.lgamma(n + 2.0 * L + 1.0)
+                      + math.log(params.c1))
     if interval == "full":
-        norm /= math.sqrt(2.0)
-    # Gegenbauer-to-Legendre conversion constant Gamma(2L+1) / (2^L Gamma(L+1))
-    conv = math.exp(math.lgamma(2.0 * L + 1.0) - L * math.log(2.0) - math.lgamma(L + 1.0))
+        log_norm -= 0.5 * math.log(2.0)
+    log_conv = math.lgamma(2.0 * L + 1.0) - L * math.log(2.0) - math.lgamma(L + 1.0)
     sign = 1.0
     if interval == "half" and L == round(L) and int(round(L)) % 2 == 1:
         sign = -1.0
-    return BasisState(int(n), L, lam, norm, sign * norm * conv)
+    return BasisState(int(n), L, L + 0.5, math.exp(log_norm), sign * math.exp(log_norm + log_conv))
 
 
 def _poly_derivatives(states: list[BasisState], y, order: int) -> tuple[np.ndarray, list[np.ndarray]]:

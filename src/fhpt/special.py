@@ -138,6 +138,9 @@ def bessel_i(nu: float, x: float) -> float:
     k = (math.hypot(nu, xb) - nu) // 2.0
     if (2.0 * k + nu) * math.log(0.5 * xb) - math.lgamma(k + 1.0) - math.lgamma(k + nu + 1.0) > _MAX_LOG:
         raise OverflowError(f"I_{nu}({x}) exceeds the double range")
+    # as (nu+1)_k >= (nu+1)^k, ln I_nu(x) <= ln t0 + x^2 / (4 (nu+1)); below ln 2^-1075 the value rounds to 0.0
+    if nu * math.log(0.5 * x) - math.lgamma(nu + 1.0) + 0.25 * x * x / (nu + 1.0) < -1075.0 * math.log(2.0):
+        return 0.0
     log_t0, total = _bessel_i_series(nu, x)
     if log_t0 + math.log(total) > _MAX_LOG:
         raise OverflowError(f"I_{nu}({x}) exceeds the double range")
@@ -176,8 +179,8 @@ def _k_temme(mu: float, x):
         odd = odd * mu2 + a
     fact = math.pi * mu / math.sin(math.pi * mu) if mu else 1.0
     xp = np if isinstance(x, np.ndarray) else math
-    lost = 0.5 * x == 0.0  # at x = 5e-324 alone; x stands in for x/2, and the lost 2 goes into d and K_{mu+1}
-    half_x = 0.5 * x + lost * x
+    lost = (x < sys.float_info.min) & (2.0 * (0.5 * x) != x)  # x/2 inexact: x stands in, its 2 goes into d, K_{mu+1}
+    half_x = (0.5 + 0.5 * lost) * x
     d = -xp.log(half_x) + lost * math.log(2.0)
     e = mu * d
     # sinh(mu d) / mu -> d as mu -> 0
@@ -273,6 +276,8 @@ def bessel_k(nu: float, x: float) -> float:
         raise DomainError(f"bessel_k requires x > 0, got {x!r}")
     nl, mu = _k_order(nu, x)
     k_mu, k_mu1 = _k_trapezoid(mu, x) if x > 2.0 else _k_temme(mu, x)
+    if k_mu == k_mu1 == 0.0:  # the base pair has underflowed (x ~ 745 on), and a recurrence from zeros stays zero
+        return 0.0
     return _k_upward(nl, mu, x, k_mu, k_mu1)
 
 

@@ -7,8 +7,10 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import jsonschema
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln, ive, logsumexp
@@ -375,12 +377,12 @@ GOLDEN_VERIFY = {
 # quad_order=200
 # tol_override=None
 name,identity,residual,tol,pass
-ode-residual,secant-well-equation,5.713734511977526e-13,1e-09,true
+ode-residual,secant-well-equation,5.420722485722268e-13,1e-09,true
 spectrum-square-law,unit-well-squared-integers,0.0,1e-14,true
 gram-identity,basis-orthonormality,2.886579864025407e-15,1e-10,true
 gram-order-doubling,quadrature-convergence,6.661338147750939e-16,1e-12,true
-ladder-raising,raising-eigenvalue,4.7247902417275375e-15,1e-09,true
-ladder-lowering,lowering-eigenvalue,3.6952791288453314e-15,1e-09,true
+ladder-raising,raising-eigenvalue,4.767165042101776e-15,1e-09,true
+ladder-lowering,lowering-eigenvalue,3.787661107066465e-15,1e-09,true
 ground-annihilation,lowering-kills-ground,0.0,1e-10,true
 commutator,ladder-commutator,9.239143561501516e-14,1e-09,true
 casimir-constancy,casimir-invariant,7.105427357601002e-15,1e-12,true
@@ -410,7 +412,7 @@ bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
     {
       "name": "ode-residual",
       "identity": "secant-well-equation",
-      "residual": 5.713734511977526e-13,
+      "residual": 5.420722485722268e-13,
       "tol": 1e-09,
       "pass": true
     },
@@ -438,14 +440,14 @@ bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
     {
       "name": "ladder-raising",
       "identity": "raising-eigenvalue",
-      "residual": 4.7247902417275375e-15,
+      "residual": 4.767165042101776e-15,
       "tol": 1e-09,
       "pass": true
     },
     {
       "name": "ladder-lowering",
       "identity": "lowering-eigenvalue",
-      "residual": 3.6952791288453314e-15,
+      "residual": 3.787661107066465e-15,
       "tol": 1e-09,
       "pass": true
     },
@@ -545,7 +547,7 @@ spectrum-square-law,unit-well-squared-integers,0.0,1e-14,true
 gram-identity,basis-orthonormality,1.9984014443252818e-15,1e-10,true
 gram-order-doubling,quadrature-convergence,2.905661822261152e-16,1e-12,true
 ladder-raising,raising-eigenvalue,2.423194831770022e-15,1e-09,true
-ladder-lowering,lowering-eigenvalue,2.0267969129628975e-15,1e-09,true
+ladder-lowering,lowering-eigenvalue,1.9141970844649586e-15,1e-09,true
 ground-annihilation,lowering-kills-ground,0.0,1e-10,true
 commutator,ladder-commutator,2.589756750642814e-14,1e-09,true
 casimir-constancy,casimir-invariant,6.394884621840902e-14,1e-12,true
@@ -610,7 +612,7 @@ bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
     {
       "name": "ladder-lowering",
       "identity": "lowering-eigenvalue",
-      "residual": 2.0267969129628975e-15,
+      "residual": 1.9141970844649586e-15,
       "tol": 1e-09,
       "pass": true
     },
@@ -1063,6 +1065,19 @@ def test_wavefunction_samples_are_normalized():
     f = psi * psi
     norm = float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(tau)))  # the trapezoid rule, written out for numpy 1.x
     assert norm == pytest.approx(1.0, abs=1e-4)
+
+
+def test_wavefunction_at_large_well_strength(capsys):
+    # 2L = 399: the Gegenbauer-to-Legendre constant alone would overflow; the state is finite and normalized
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["wavefunction", "--A", "200", "--samples", "9", "--format", "json"]) == 0
+    rows = np.array(json.loads(capsys.readouterr().out)["rows"])
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(PotentialParams(A=200.0).L) + mpmath.mpf(0.5)
+        h0 = mpmath.sqrt(mpmath.pi) * mpmath.gamma(lam + 0.5) / mpmath.gamma(lam + 1)  # integral of cos^(2 lam)
+        ref = np.array([float(mpmath.cos(t) ** lam / mpmath.sqrt(h0)) for t in rows[:, 0]])
+    assert np.max(np.abs(rows[:, 1] - ref)) < 1e-12 * np.max(ref)
 
 
 def test_expect_raising_mean_is_conjugate_label():

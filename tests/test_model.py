@@ -360,6 +360,37 @@ def test_state_against_legendre_route():
             assert np.max(np.abs(ours - alt)) < 5e-11 * np.max(np.abs(ours))
 
 
+def _orthonormal_state(n, p, tau):
+    # sqrt(c1 / h_n) cos(tau)^lam C_n^lam(sin tau), with the Gegenbauer norm
+    # h_n = pi 2^(1 - 2 lam) Gamma(n + 2 lam) / (n! (n + lam) Gamma(lam)^2) (DLMF 18.3)
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(p.L) + mpmath.mpf(0.5)
+        h = mpmath.pi * 2 ** (1 - 2 * lam) * mpmath.gamma(n + 2 * lam) / (
+            mpmath.factorial(n) * (n + lam) * mpmath.gamma(lam) ** 2)
+        return np.array([float(mpmath.sqrt(p.c1 / h) * mpmath.cos(t) ** lam * mpmath.gegenbauer(n, lam, mpmath.sin(t)))
+                         for t in tau])
+
+
+@pytest.mark.parametrize("A", [151.0, 300.0, 500.0])
+def test_large_well_states_against_mpmath(A):
+    # 2L = 301 to 999: the Gegenbauer-to-Legendre constant alone is e^706 and more, the half-interval one
+    # e^-724 and less, so the state constant holds only as one log-space sum (measured within 6.9e-13)
+    p = PotentialParams(A=A)
+    tau = np.array([-1.2, -0.4, -0.05, 0.0, 0.1, 0.3, 0.9])
+    for n in (0, 40, 100):
+        ours = eval_state(build_basis_state(n, p), tau)
+        peak = np.max(np.abs(eval_state(build_basis_state(n, p), np.linspace(-1.5, 1.5, 3001))))
+        assert np.max(np.abs(ours - _orthonormal_state(n, p, tau))) < 1e-11 * peak
+
+
+@pytest.mark.parametrize("A", [151.0, 300.0])
+def test_large_well_residual_and_gram(A):
+    p = PotentialParams(A=A)
+    assert np.max(residual_ode(range(100), p)) <= 1e-9
+    levels = range(30)
+    assert np.max(np.abs(overlap(levels, levels, p, gauss_legendre(1600)) - np.eye(30))) < 1e-11
+
+
 # overlaps
 
 def test_gram_identity():

@@ -3,6 +3,7 @@ independent implementations (scipy / mpmath are test-only oracles)."""
 
 import math
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -307,6 +308,14 @@ def test_bessel_k_is_zero_without_a_warning_past_the_double_range():
                 assert _bessel_k_array(nu, np.array([3.0, x]))[1] == 0.0, (nu, x)
 
 
+def test_bessel_k_past_the_range_of_its_base_pair_returns_at_once():
+    # from x ~ 745 K_mu and K_(mu+1) are 0.0, and the 1e8 steps of the recurrence would only keep them there
+    assert mpmath.besselk(1e8, 1e300) < mpmath.mpf(2) ** -1075
+    start = time.perf_counter()
+    assert bessel_k(1e8, 1e300) == 0.0
+    assert time.perf_counter() - start < 1.0
+
+
 def test_bessel_k_array_overflow_matches_scalar():
     # a K-grid from r = 1e-6 at order 45: the smallest node overflows
     x = 2.0 * np.geomspace(1e-6, 30.0, 200)
@@ -318,10 +327,11 @@ def test_bessel_k_array_overflow_matches_scalar():
 
 
 @pytest.mark.parametrize(
-    "nu,x", [(150.0, 0.9594350439778925), (1.0, 1e-308), (0.5, 1e-320), (0.0, 5e-324), (0.9, 5e-324), (0.5, 5e-324)]
+    "nu,x", [(150.0, 0.9594350439778925), (1.0, 1e-308), (0.5, 1e-320), (0.0, 5e-324), (0.9, 5e-324), (0.5, 5e-324),
+             (0.5, 1.5e-323), (0.3, 2.5e-323), (0.4, 7.4e-323), (-0.2, 9.4e-323)]
 )
 def test_bessel_k_below_the_top_of_the_range_is_finite(nu, x):
-    # a small-x estimate that is not a bound rejected the first three; at 5e-324, 0.5 x rounds to 0
+    # a small-x estimate that is not a bound rejected the first three; 0.5 x rounds at the rest, to 0 at 5e-324
     ref = float(mpmath.besselk(nu, x))
     assert bessel_k(nu, x) == pytest.approx(ref, rel=1e-12)
     assert _bessel_k_array(nu, np.array([x, 1.0]))[0] == pytest.approx(ref, rel=1e-12)
@@ -346,6 +356,13 @@ def test_bessel_i_below_double_range():
     # I_199(1) ~ 1e-432: the value underflows to zero, never to a wrong number
     assert bessel_i(199.0, 1.0) == 0.0
     assert bessel_i(150.0, 1.0) == pytest.approx(float(mpmath.besseli(150, 1)), rel=1e-13)
+
+
+def test_bessel_i_is_zero_where_its_upper_bound_underflows():
+    # ln I_1e6(2e5) ~ -1.29e6, below ln 2^-1075: the value is 0.0, where the series ran out of its 10,000 terms
+    with mpmath.workdps(20):
+        assert mpmath.log(mpmath.besseli(1e6, 2e5, maxterms=10**6)) < -1075 * mpmath.log(2)
+    assert bessel_i(1e6, 2e5) == 0.0
 
 
 def test_bessel_k_even_in_order():
