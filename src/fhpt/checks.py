@@ -13,11 +13,11 @@ parameters; the rest follow the configured well.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .algebra import apply_lowering, apply_raising, casimir_eigenvalue, commutator_residual, ladder_coefficients
+from .algebra import apply_lowering, apply_raising, casimir_eigenvalue, commutator_residual
 from .coherent import _diagonal_moments, build_coherent_state, lowering_eigenstate_residual, radial_weight_moment
 from .errors import DomainError, _check_int
 from .model import _MAX_LEVEL, PotentialParams, _grid_rows, _levels_on, momentum_level, overlap, residual_ode
@@ -50,7 +50,7 @@ class CheckConfig(PotentialParams):
         super().__post_init__()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,9 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     _, _, _, psi, *_ = grid
     up = apply_raising(states)(y, (u, du))
     dn = apply_lowering(states)(y, (u, du))
-    target_up = np.array([ladder_coefficients(n, L).raise_eig for n in levels])[:, None] * psi[1:, ::4]
-    target_dn = np.array([ladder_coefficients(n, L).lower_eig for n in levels[1:]])[:, None] * psi[:-2, ::4]
+    n = np.arange(config.nmax + 1.0)[:, None]  # raise_eig and lower_eig as algebra.ladder_coefficients forms them
+    target_up = np.sqrt((n + 1.0) * (n + 2.0 * L + 1.0)) * psi[1:, ::4]
+    target_dn = np.sqrt(n[1:] * (n[1:] + 2.0 * L)) * psi[:-2, ::4]
     worst_up = (np.max(np.abs(up - target_up), axis=1) / np.max(np.abs(target_up), axis=1)).max(initial=0.0)
     worst_dn = (np.max(np.abs(dn[1:] - target_dn), axis=1) / np.max(np.abs(target_dn), axis=1)).max(initial=0.0)
     checks.append(_result("ladder-raising", "raising-eigenvalue", worst_up, 1e-9, ov))
@@ -159,14 +160,14 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     r = max(abs(v - 1.0) for v in moments)
     checks.append(_result("identity-resolution", "label-plane-completeness", r, 1e-7, ov))
 
-    # the same moment family at three degrees, on the larger of the two cutoffs,
+    # the same moment family at three degrees in one pass, on the larger of the two cutoffs,
     # so that from nmax = 7 up both checks integrate against one K-grid
     r = 0.0
     degrees = [2.0 * k + 2.0 * L + 1.0 for k in (0, 3, 7)]
     r_max = max(r_max, default_r_max(degrees[-1]))
-    for mu in degrees:
+    quads = integrate_semi_infinite_k_weight(lambda rr: np.array([rr**mu for mu in degrees]), 2.0 * L, r_max, rule)
+    for mu, quad in zip(degrees, quads.tolist()):
         closed = radial_weight_moment(mu, 2.0 * L)
-        quad = integrate_semi_infinite_k_weight(lambda rr, m=mu: rr**m, 2.0 * L, r_max=r_max, rule=rule)
         r = max(r, abs(quad - closed) / closed)
     checks.append(_result("radial-closed-form", "k-weighted-moments", r, 1e-9, ov))
 

@@ -315,13 +315,20 @@ def _build_parser() -> argparse.ArgumentParser:
         quad_order="quadrature order for overlaps and the K-grid, whose panel count it also sets",
     )
     p.add_argument("--tol", type=float, default=None, help="override every check tolerance")
+    parser.commands = sub.choices  # the subcommand parsers by name, which main calls directly
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known command goes straight to its own parser, the one the top-level parser hands it to; no command,
+    # an option first, an unknown command and leftover arguments get the top-level parser's own text
+    sub = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args, extra = (parser.parse_args(argv), []) if sub is None else sub.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _check_int
-from .model import PotentialParams
+from .errors import ConvergenceError, DomainError, _check_ints
+from .model import PotentialParams, _as_list, _one_or_rows
 from .quadrature import QuadratureRule, default_r_max, integrate_semi_infinite_k_weight
 from .special import _bessel_i_series, bessel_i
 
@@ -95,7 +95,9 @@ def build_coherent_state(z: complex, params: PotentialParams, tail_tol: float = 
         if n > _MAX_TERMS:
             raise ConvergenceError("coherent coefficient vector failed to converge")
         ratio = r / math.sqrt(n * (n + 2.0 * L))
-        log_mags.append(log_mags[-1] + math.log(ratio))
+        # a ratio below the normal range has lost digits, and at 0.0 its log fails: take it as a difference
+        log_ratio = math.log(ratio) if ratio >= sys.float_info.min else math.log(r) - 0.5 * math.log(n * (n + 2.0 * L))
+        log_mags.append(log_mags[-1] + log_ratio)
         if ratio < 0.5:
             # ratios decrease in n, so the dropped weight is geometrically
             # dominated: sum_{k > N} |c_k|^2 <= |c_(N+1)|^2 / (1 - 1/4)
@@ -155,34 +157,43 @@ def radial_weight_moment(mu: float, nu: float) -> float:
 
 
 def resolution_of_identity_check(
-    n: int,
-    n_prime: int,
+    n,
+    n_prime,
     params: PotentialParams,
     rule: QuadratureRule,
     r_max: float,
-) -> float:
+) -> float | np.ndarray:
     """Matrix element (n_prime, n) of the completeness integral over labels z.
 
     With the weight (2 / pi) K_(2L)(2|z|) / |z|^(2L - 1) on the label plane,
     the angular integral contributes 2 pi only on the diagonal and vanishes
     exactly otherwise; the radial part reduces to a K-weighted moment.  The
-    identity holds when every diagonal element equals 1.
+    identity holds when every diagonal element equals 1.  n and n_prime are
+    each a level, or sequences of one length for one element per pair
+    (n[i], n_prime[i]), whose diagonal moments share one pass over the K-grid;
+    each element equals its own pair's call bit for bit.
     """
-    for k in (n, n_prime):
-        _check_int("level index", k, 0)
-    if n_prime != n:
-        return 0.0
+    ns, one = _as_list(n)
+    ms, one_prime = _as_list(n_prime)
+    _check_ints("level index", ns + ms, 0)
+    if len(ns) != len(ms):
+        raise DomainError(f"n and n_prime must have one length, got {len(ns)} and {len(ms)}")
     L = params.L
-    degree = 2.0 * n + 2.0 * L + 1.0
-    value = integrate_semi_infinite_k_weight(
-        lambda rr: rr**degree, 2.0 * L, r_max=r_max, rule=rule
-    )
-    pref = 4.0 * math.exp(-math.lgamma(n + 1.0) - math.lgamma(n + 2.0 * L + 1.0))
-    return pref * value
+    out = np.zeros(len(ns))
+    diagonal = [i for i, (k, k_prime) in enumerate(zip(ns, ms)) if k == k_prime]
+    if diagonal:
+        degrees = [2.0 * ns[i] + 2.0 * L + 1.0 for i in diagonal]
+        values = integrate_semi_infinite_k_weight(
+            lambda rr: np.array([rr**d for d in degrees]), 2.0 * L, r_max=r_max, rule=rule
+        )
+        for i, value in zip(diagonal, values.tolist()):
+            out[i] = 4.0 * math.exp(-math.lgamma(ns[i] + 1.0) - math.lgamma(ns[i] + 2.0 * L + 1.0)) * value
+    return _one_or_rows(one and one_prime, out)
 
 
 def _diagonal_moments(nmax: int, params: PotentialParams, rule: QuadratureRule) -> tuple[list[float], float]:
     # the diagonal elements of levels 0..nmax and their one cutoff, taken at the top level's degree, so
-    # that every level integrates against one K-grid
+    # that every level integrates against one K-grid in one pass
     r_max = default_r_max(2.0 * nmax + 2.0 * params.L + 1.0)
-    return [resolution_of_identity_check(n, n, params, rule=rule, r_max=r_max) for n in range(nmax + 1)], r_max
+    levels = range(nmax + 1)
+    return resolution_of_identity_check(levels, levels, params, rule=rule, r_max=r_max).tolist(), r_max

@@ -251,8 +251,10 @@ def overlap(m, n, params: PotentialParams, rule: QuadratureRule) -> float | np.n
     """
     rows, one_row = _as_list(m)
     cols, one_col = _as_list(n)
-    _check_ints("level index", rows + cols, 0, _MAX_LEVEL)  # before np.unique merges True into 1 and 2.0 into 2
-    levels, at = np.unique(np.array(rows + cols, dtype=int), return_inverse=True)
+    _check_ints("level index", rows + cols, 0, _MAX_LEVEL)  # before the set merges True into 1 and 2.0 into 2
+    levels = sorted(set(rows + cols))
+    index = {k: i for i, k in enumerate(levels)}
+    at = np.array([index[k] for k in rows + cols], dtype=int)
     psi = eval_state([build_basis_state(k, params) for k in levels], 0.5 * np.pi * rule.nodes) if len(levels) else None
     w = 0.5 * np.pi * rule.weights / params.c1  # dt = dtau / c1
     # one pass per level a forms each pair a <= b once and in one order, so a block equals its scalar

@@ -106,10 +106,9 @@ def _main_panels(rule: QuadratureRule) -> int:
     return max(8, math.ceil(1600 / rule.order))
 
 
-def _point(g: Callable, r: float, k: float) -> float:
+def _probe(f: float, k: float, r: float) -> float:
     # a tail probe g(r) K; an underflowed K contributes 0, and any other non-finite probe is rejected like a node
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = float(np.asarray(g(np.array([r])), dtype=float)[0]) * k if k else 0.0
+    f = float(f) * k if k else 0.0
     if not math.isfinite(f):
         raise IntegrationError(f"integrand returned a non-finite value at probe {r!r}")
     return f
@@ -120,8 +119,12 @@ def integrate_semi_infinite_k_weight(
     nu: float,
     r_max: float,
     rule: QuadratureRule,
-) -> float:
+) -> float | np.ndarray:
     """Integral of g(r) * K_nu(2 r) over (0, infinity), truncated at r_max.
+
+    g maps an array r to g(r), or to one row per integrand, shape (k, len(r)), which gives an
+    array of the k integrals from one pass over the grid; each equals that row's own call bit for
+    bit, tail estimates and warnings included.
 
     max(8, ceil(1600 / rule.order)) geometric panels span [lo, r_max].  lo
     is 1e-6, or for nu above about 44 the radius e_nu below which K_nu(2 r)
@@ -141,42 +144,45 @@ def integrate_semi_infinite_k_weight(
         raise DomainError(f"r_max must exceed the inner mesh edge {lo!r}, got {r_max!r}")
 
     nodes, wk, (k_hi, k_lo, k_2lo) = _k_weighted_grid(nu, lo, r_max, _main_panels(rule), rule)
-    # a value that overflows is rejected below with its node, so numpy's warning would only repeat it
+    # a value that overflows is rejected below with its node or probe, so numpy's warning would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         gv = np.asarray(g(nodes), dtype=float)
-    if not np.all(np.isfinite(gv)):
-        bad = nodes[~np.isfinite(gv)][0]
-        raise IntegrationError(f"integrand returned a non-finite value at node {float(bad)!r}")
-    total = float(np.dot(wk, gv))
-    scale = max(abs(total), 1e-300)
+        probes = np.asarray(g(np.array([r_max, lo, 2.0 * lo])), dtype=float)
 
-    # upper tail: one extra e-folding of the exponential weight as the scale
-    f_hi = abs(_point(g, r_max, k_hi))
-    if f_hi > 2e-12 * scale:
-        warnings.warn(
-            f"upper truncation at r_max={r_max} leaves an estimated relative tail "
-            f"{f_hi / (2.0 * scale):.2e}",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    def row_integral(i: int, row: np.ndarray, probe: np.ndarray) -> float:
+        # row i with its own tail estimates; the few rows that need lower-tail panels take row i of g on them
+        if not np.all(np.isfinite(row)):
+            bad = nodes[~np.isfinite(row)][0]
+            raise IntegrationError(f"integrand returned a non-finite value at node {float(bad)!r}")
+        total = float(np.dot(wk, row))
+        scale = max(abs(total), 1e-300)
 
-    # lower tail: f ~ C r^p below lo, so (0, lo / 100^k) holds T 100^(-k (p + 1))
-    f1, f2 = _point(g, lo, k_lo), _point(g, 2.0 * lo, k_2lo)
-    if not (f1 > 0.0 and f2 > 0.0):
-        return total
-    p = math.log2(f2 / f1)
-    if p <= -1.0:
-        warnings.warn(
-            f"integrand grows like r^{p:.3f} toward 0; the integral may diverge",
-            TruncationWarning,
-            stacklevel=2,
-        )
-        return total
-    tail = f1 * lo / (p + 1.0)
-    if tail <= 1e-13 * scale:
-        return total
-    k = min(math.ceil(math.log(tail / (1e-13 * scale), 100.0) / (p + 1.0)), int(math.log(lo / floor, 100.0)))
-    if k > 0:
-        pn, pw, _ = _k_weighted_grid(nu, lo / 100.0**k, lo, k, rule, False)
-        total += float(np.dot(pw, np.asarray(g(pn), dtype=float)))
-    return total + tail * 100.0 ** (-k * (p + 1.0))
+        # upper tail: one extra e-folding of the exponential weight as the scale
+        f_hi = abs(_probe(probe[0], k_hi, r_max))
+        if f_hi > 2e-12 * scale:
+            message = f"upper truncation at r_max={r_max} leaves an estimated relative tail {f_hi / (2.0 * scale):.2e}"
+            warnings.warn(message, TruncationWarning, stacklevel=3)  # the caller of integrate_semi_infinite_k_weight
+
+        # lower tail: f ~ C r^p below lo, so (0, lo / 100^k) holds T 100^(-k (p + 1))
+        f1, f2 = _probe(probe[1], k_lo, lo), _probe(probe[2], k_2lo, 2.0 * lo)
+        if not (f1 > 0.0 and f2 > 0.0):
+            return total
+        p = math.log2(f2 / f1)
+        if p <= -1.0:
+            message = f"integrand grows like r^{p:.3f} toward 0; the integral may diverge"
+            warnings.warn(message, TruncationWarning, stacklevel=3)
+            return total
+        tail = f1 * lo / (p + 1.0)
+        if tail <= 1e-13 * scale:
+            return total
+        k = min(math.ceil(math.log(tail / (1e-13 * scale), 100.0) / (p + 1.0)), int(math.log(lo / floor, 100.0)))
+        if k > 0:
+            pn, pw, _ = _k_weighted_grid(nu, lo / 100.0**k, lo, k, rule, False)
+            total += float(np.dot(pw, np.atleast_2d(np.asarray(g(pn), dtype=float))[i]))
+        return total + tail * 100.0 ** (-k * (p + 1.0))
+
+    # rows in order, so that the first failing row names its own first bad node
+    totals = []
+    for i, (row, probe) in enumerate(zip(np.atleast_2d(gv), np.atleast_2d(probes))):
+        totals.append(row_integral(i, row, probe))
+    return totals[0] if gv.ndim == 1 else np.array(totals)

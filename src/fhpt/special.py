@@ -96,6 +96,11 @@ _MAX_LOG = math.log(sys.float_info.max)
 _TOL = 1e-14  # relative tail tolerance of every series
 
 
+def _log_half(x: float) -> float:
+    # ln(x / 2), as ln x - ln 2 where 0.5 x is inexact: an odd subnormal x, and 5e-324, where 0.5 x is 0.0
+    return math.log(0.5 * x) if 2.0 * (0.5 * x) == x else math.log(x) - math.log(2.0)
+
+
 def _bessel_i_series(nu: float, x: float) -> tuple[float, float]:
     # Ascending series of I_nu(x), x > 0, as (ln t0, S) with I_nu(x) = e^{ln t0} S:
     # t0 = (x/2)^nu / Gamma(nu+1) is the leading term and S >= 1 the sum of the
@@ -110,7 +115,7 @@ def _bessel_i_series(nu: float, x: float) -> tuple[float, float]:
         total += term
         ratio = q / ((k + 1.0) * (k + 1.0 + nu))
         if ratio < 0.5 and term * ratio / (1.0 - ratio) < _TOL * total:
-            return nu * math.log(0.5 * x) - math.lgamma(nu + 1.0), total
+            return nu * _log_half(x) - math.lgamma(nu + 1.0), total
         if k > 10000:
             raise ConvergenceError("bessel_i series did not converge")
 
@@ -136,10 +141,10 @@ def bessel_i(nu: float, x: float) -> float:
     # and as I_nu grows in x, a term at min(x, 1e300), where lgamma stays finite, bounds it too
     xb = min(x, 1e300)
     k = (math.hypot(nu, xb) - nu) // 2.0
-    if (2.0 * k + nu) * math.log(0.5 * xb) - math.lgamma(k + 1.0) - math.lgamma(k + nu + 1.0) > _MAX_LOG:
+    if (2.0 * k + nu) * _log_half(xb) - math.lgamma(k + 1.0) - math.lgamma(k + nu + 1.0) > _MAX_LOG:
         raise OverflowError(f"I_{nu}({x}) exceeds the double range")
     # as (nu+1)_k >= (nu+1)^k, ln I_nu(x) <= ln t0 + x^2 / (4 (nu+1)); below ln 2^-1075 the value rounds to 0.0
-    if nu * math.log(0.5 * x) - math.lgamma(nu + 1.0) + 0.25 * x * x / (nu + 1.0) < -1075.0 * math.log(2.0):
+    if nu * _log_half(x) - math.lgamma(nu + 1.0) + 0.25 * x * x / (nu + 1.0) < -1075.0 * math.log(2.0):
         return 0.0
     log_t0, total = _bessel_i_series(nu, x)
     if log_t0 + math.log(total) > _MAX_LOG:
@@ -290,6 +295,8 @@ def _bessel_k_array(nu: float, x: np.ndarray) -> np.ndarray:
     k_mu, k_mu1 = np.empty_like(x), np.empty_like(x)
     small = x <= 2.0
     with np.errstate(over="ignore"):  # a value past the range is inf, which _k_upward raises on
-        k_mu[small], k_mu1[small] = _k_temme(mu, x[small])
-        k_mu[~small], k_mu1[~small] = _k_trapezoid(mu, x[~small])
+        if small.any():  # a lower-tail grid has no x > 2, and a grid far out no x <= 2
+            k_mu[small], k_mu1[small] = _k_temme(mu, x[small])
+        if not small.all():
+            k_mu[~small], k_mu1[~small] = _k_trapezoid(mu, x[~small])
         return _k_upward(nl, mu, x, k_mu, k_mu1)

@@ -1,5 +1,6 @@
 """The named check suite as a unit: coverage, report shape, overrides."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fhpt import coherent, model, special
+from fhpt import coherent, model, quadrature, special
 from fhpt.algebra import commutator_residual
 from fhpt.checks import CheckConfig, run_checks
 from fhpt.errors import DomainError
@@ -70,7 +71,9 @@ def test_tolerance_override_applies_to_every_check():
 
 
 def test_report_serializes():
-    report = run_checks(CheckConfig(nmax=4, quad_order=80))
+    config = CheckConfig(nmax=4, quad_order=80)
+    report = run_checks(config)
+    assert list(report.config.items()) == list(dataclasses.asdict(config).items())
     payload = report.to_dict()
     text = json.dumps(payload)
     back = json.loads(text)
@@ -127,7 +130,7 @@ def _record_calls(monkeypatch, name: str, source=special) -> list:
     original = getattr(source, name)
     for module in [m for key, m in sys.modules.items() if key == "fhpt" or key.startswith("fhpt.")]:
         if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+            monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(args) or original(*args, **kw))
     return calls
 
 
@@ -144,6 +147,19 @@ def test_level_checks_run_one_recurrence_per_grid(monkeypatch):
         run_checks(CheckConfig(nmax=nmax))
         counts.append(len(calls))
     assert counts == [5, 5]
+
+
+def test_moment_checks_make_one_integrator_call_each(monkeypatch):
+    # identity-resolution integrates its nmax + 1 diagonal moments in one pass over the K-grid, and
+    # radial-closed-form its three degrees in another, at any nmax
+    run_checks(CheckConfig(nmax=45))
+    calls = _record_calls(monkeypatch, "integrate_semi_infinite_k_weight", quadrature)
+    counts = []
+    for nmax in (10, 45):
+        calls.clear()
+        run_checks(CheckConfig(nmax=nmax))
+        counts.append(len(calls))
+    assert counts == [2, 2]
 
 
 def _warm_up_at_another_strength() -> None:

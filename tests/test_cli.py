@@ -1049,6 +1049,48 @@ def test_one_parser_serves_every_request_in_a_process(capsys):
 
 
 
+PARSE_ARGVS = [
+    [], ["-h"], ["bogus"], ["spectrum", "--bogus", "1"], ["spectrum", "--nmax", "x"], ["spectrum", "-h"],
+    ["spectrum", "--nm", "3"], ["spectrum", "--A=2.5"], ["verify", "--A", "2", "extra"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=" ".join)
+def test_main_parses_as_the_top_level_parser_does(argv, capsys):
+    # a known command goes straight to its own parser; the exit code and the usage, help and error text stay
+    # those of the top-level parser's parse_args, and a clean parse prints nothing to stderr
+    try:
+        cli._build_parser().parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    parsed = capsys.readouterr()
+    assert main(argv) == code
+    got = capsys.readouterr()
+    assert got.err == parsed.err
+    if parsed.out or parsed.err:  # help, or a usage error: nothing ran
+        assert got.out == parsed.out
+
+
+def test_a_known_command_is_parsed_once(monkeypatch, capsys):
+    # the top-level parser is left out of a call that names a known command; the rest still go to it
+    parser = cli._build_parser()
+    calls = []
+    top_level = parser.parse_known_args
+    monkeypatch.setattr(parser, "parse_known_args", lambda *a, **kw: calls.append(a) or top_level(*a, **kw))
+    assert main(["spectrum", "--A", "1", "--nmax", "3"]) == 0
+    assert capsys.readouterr().out == GOLDEN_SPECTRUM and calls == []
+    assert main(["spectrum", "--bogus"]) == 2 and main(["bogus"]) == 2 and len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["coherent", "expect"])
+def test_label_at_the_smallest_subnormal(command, capsys):
+    # |z| = 5e-324: the first term ratio underflows to 0.0, whose log raised; only the ground level is kept
+    assert main([command, "--z", "2.5e-324"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "# truncation_level=0\n" in captured.out
+
+
 def test_main_callable_directly(capsys):
     assert main(["spectrum", "--A", "1", "--nmax", "1"]) == 0
     captured = capsys.readouterr()

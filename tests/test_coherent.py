@@ -206,6 +206,26 @@ def test_resolution_off_diagonal_vanishes():
     assert resolution_of_identity_check(5, 2, p, rule=rule, r_max=_level_r_max(5, p)) == 0.0
 
 
+@pytest.mark.parametrize("A", (0.65, 2.0, 21.0))
+def test_resolution_on_level_sequences_equals_its_pairs(A):
+    # one element per pair (n[i], n_prime[i]), each its own pair's call bit for bit; the diagonal pairs
+    # share one pass over the K-grid and the off-diagonal ones are 0.0
+    p = PotentialParams(A=A)
+    rule, r_max = gauss_legendre(200), _level_r_max(12, p)
+    ns, n_primes = [0, 3, 7, 12, 2, 5, 9, 0], [0, 3, 7, 12, 5, 2, 9, 1]
+    got = resolution_of_identity_check(ns, n_primes, p, rule=rule, r_max=r_max)
+    want = [resolution_of_identity_check(n, m, p, rule=rule, r_max=r_max) for n, m in zip(ns, n_primes)]
+    assert isinstance(got, np.ndarray) and got.tolist() == want
+    assert all(isinstance(v, float) for v in want) and want[4] == want[5] == want[7] == 0.0
+    diagonal = resolution_of_identity_check(range(4), range(4), p, rule=rule, r_max=r_max)
+    assert diagonal.tolist() == [resolution_of_identity_check(n, n, p, rule=rule, r_max=r_max) for n in range(4)]
+
+
+def test_resolution_rejects_sequences_of_two_lengths():
+    with pytest.raises(DomainError, match="one length"):
+        resolution_of_identity_check([0, 1], [0], PotentialParams(A=2.0), rule=gauss_legendre(20), r_max=30.0)
+
+
 def test_resolution_past_the_overflow_wall_raises_without_a_warning():
     # at 2L = 199 the moment r^200 overflows on the upper panels; pytest turns a stray
     # RuntimeWarning into an error, so this passes only when the node check speaks alone

@@ -206,3 +206,46 @@ def test_k_moments_reach_rounding_at_every_rule_order(order, A):
             got = integrate_semi_infinite_k_weight(lambda r: r**mu, 2.0 * L, r_max=r_max, rule=rule)
             exact = mpmath.gamma((1 + mpmath.mpf(mu) + 2 * L) / 2) * mpmath.gamma((1 + mpmath.mpf(mu) - 2 * L) / 2) / 4
             assert abs(got / exact - 1) < 1e-12
+
+
+def _recorded(call) -> tuple[object, list]:
+    # the value of call() and its warnings as (category, text, file), each shown
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        value = call()
+    return value, [(w.category, str(w.message), w.filename) for w in seen]
+
+
+@pytest.mark.parametrize(
+    "nu,r_max,mus", [(0.3, 30.0, (-0.9, 0.35, 2.0, 40.0)), (21.0, 30.0, (20.5, 25.0, 30.0, 60.0))], ids=["2L=0.3", "2L=21"]
+)
+def test_row_valued_integrand_equals_its_own_rows(nu, r_max, mus):
+    # one row per integrand in one pass over the grid: each row is its own call bit for bit, with the same
+    # warnings in the same order, and the caller named as their source.  Row 1 takes the lower-tail
+    # panels, the last row meets the upper cutoff with a warning, and at 2L = 0.3 row 0 diverges with one
+    rule = gauss_legendre(200)
+    singles = [_recorded(lambda mu=mu: integrate_semi_infinite_k_weight(lambda r: r**mu, nu, r_max, rule)) for mu in mus]
+    before = _k_weighted_grid.cache_info()
+    rows, seen = _recorded(lambda: integrate_semi_infinite_k_weight(lambda r: np.array([r**mu for mu in mus]), nu, r_max, rule))
+    after = _k_weighted_grid.cache_info()
+    assert isinstance(rows, np.ndarray) and rows.shape == (len(mus),)
+    assert rows.tolist() == [value for value, _ in singles]
+    assert all(isinstance(value, float) for value, _ in singles)
+    assert seen == [w for _, ws in singles for w in ws]
+    assert {w[0] for w in seen} == {TruncationWarning} and {w[2] for w in seen} == {__file__}
+    assert any("diverge" in w[1] for w in seen) == (nu < 1.0) and any("upper truncation" in w[1] for w in seen)
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 2  # the main and lower-tail grids
+
+
+def test_row_valued_integrand_names_the_first_bad_node_of_the_first_failing_row():
+    # row 1 overflows from r ~ 5 on and row 2 from r ~ 1 on: the message names row 1's first bad node,
+    # which a scan of the whole block in node order would not
+    rule = gauss_legendre(20)
+    nodes, _, _ = _k_weighted_grid(0.5, 1e-6, 30.0, _main_panels(rule), rule)
+
+    def g(r):
+        return np.array([r, np.where(r > 5.0, np.inf, r), np.where(r > 1.0, np.nan, r)])
+
+    with pytest.raises(IntegrationError) as err:
+        integrate_semi_infinite_k_weight(g, 0.5, r_max=30.0, rule=rule)
+    assert str(err.value) == f"integrand returned a non-finite value at node {float(nodes[nodes > 5.0][0])!r}"

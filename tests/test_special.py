@@ -194,6 +194,16 @@ def test_bessel_i_above_the_range_raises(nu, x):
         bessel_i(nu, x)
 
 
+@pytest.mark.parametrize(
+    "nu,x", [(0.0, 5e-324), (1.0, 5e-324), (0.5, 5e-324), (0.0, 1.5e-323), (0.5, 1.5e-323), (1.0, 2.5e-323), (2.5, 1.5e-323)]
+)
+def test_bessel_i_at_odd_subnormal_arguments(nu, x):
+    # 0.5 x rounds at an odd subnormal x, and to 0.0 at 5e-324, where ln(x / 2) raised: the value is within
+    # 1e-13 of mpmath's, or one subnormal step where it is subnormal itself
+    ref = mpmath.besseli(nu, mpmath.mpf(x))
+    assert abs(bessel_i(nu, x) - ref) <= max(1e-13 * ref, mpmath.mpf(2) ** -1074)
+
+
 def test_bessel_i_domain():
     for nu, x in ((-1.0, 2.0), (1.0, -2.0), (1.0, math.nan), (math.nan, 2.0), (math.inf, 2.0)):
         with pytest.raises(DomainError):
@@ -350,6 +360,19 @@ def test_bessel_k_array_past_the_range_raises_as_its_smallest_node(nu, x):
 def test_bessel_k_array_domain():
     with pytest.raises(DomainError):
         _bessel_k_array(1.0, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("lo,hi,idle", [(1e-8, 2.0, "_k_trapezoid"), (2.5, 700.0, "_k_temme")])
+def test_k_array_skips_the_regime_with_no_argument(monkeypatch, lo, hi, idle):
+    # a lower-tail grid has no x > 2 and a grid far out no x <= 2: the idle regime's kernel is not entered
+    x = np.geomspace(lo, hi, 64)
+    want = _bessel_k_array(3.3, x)
+
+    def idle_kernel(mu, x):
+        raise AssertionError(f"{idle} ran on {x.size} arguments")
+
+    monkeypatch.setattr(special, idle, idle_kernel)
+    assert _bessel_k_array(3.3, x).tobytes() == want.tobytes()
 
 
 def test_bessel_i_below_double_range():
