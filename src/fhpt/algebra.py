@@ -99,13 +99,13 @@ def commutator_residual(n, params: PotentialParams, grid=None) -> float | np.nda
     The two operator chains are composed pointwise: the first map's image and
     its y-derivative come from the product rule on u, u', u'', and the second
     map acts on them with the level-shifted prefactor.  The result is compared
-    to 2 (n + L + 1/2) psi_n on a tau grid; returns the max deviation scaled by
-    max |psi_n|, or one such residual per level for a sequence of levels.
-    grid, if given, must be the rows that _grid_rows returns on 201 points
-    for the same levels and well.
+    to 2 (n + L + 1/2) psi_n on the 401 tau points of residual_ode; returns the
+    max deviation scaled by max |psi_n|, or one such residual per level for a
+    sequence of levels.  grid, if given, must be the rows that _grid_rows
+    returns for the same levels and well.
     """
     levels, one = _as_list(n)
-    states, y, cq, psi, u, du, d2u = _grid_rows(levels, params, 201) if grid is None else grid
+    states, y, cq, psi, u, du, d2u = _grid_rows(levels, params) if grid is None else grid
     k = np.array([s.n for s in states])[:, None]
     L = params.L
     (up_down,) = _bracket(False, k, 1, L, y, _bracket(True, k, 0, L, y, (u, du, d2u)))

@@ -103,12 +103,13 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     L = config.L
     checks: list[CheckResult] = []
 
-    # one 401-point grid of levels 0..nmax + 1 serves the ODE, ladder and commutator checks
-    grid = _grid_rows(range(config.nmax + 2), config, 401)
+    # one 401-point grid of levels 0..nmax + 1 serves the ODE, ladder and commutator checks; rows is its 0..nmax
+    levels = range(config.nmax + 1)
+    grid = _grid_rows(range(config.nmax + 2), config)
+    rows = _levels_on(grid)
 
     # master equation residual over every level
-    levels = range(config.nmax + 1)
-    r = residual_ode(levels, config, grid=_levels_on(grid, 1)).max()
+    r = residual_ode(levels, config, grid=rows).max()
     checks.append(_result("ode-residual", "secant-well-equation", r, 1e-9, ov))
 
     # squared-integer spectrum at unit well strength in natural units
@@ -126,22 +127,22 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
 
     # ladder maps against their eigenvalue relations, with targets from levels
     # 0..nmax + 1; row 0 of the lowering images is the ground level's
-    states, y, _, _, u, du, _ = _levels_on(grid, 4)
+    states, y, _, _, u, du, _ = rows
     _, _, _, psi, *_ = grid
     up = apply_raising(states)(y, (u, du))
     dn = apply_lowering(states)(y, (u, du))
     n = np.arange(config.nmax + 1.0)[:, None]  # raise_eig and lower_eig as algebra.ladder_coefficients forms them
-    target_up = np.sqrt((n + 1.0) * (n + 2.0 * L + 1.0)) * psi[1:, ::4]
-    target_dn = np.sqrt(n[1:] * (n[1:] + 2.0 * L)) * psi[:-2, ::4]
+    target_up = np.sqrt((n + 1.0) * (n + 2.0 * L + 1.0)) * psi[1:]
+    target_dn = np.sqrt(n[1:] * (n[1:] + 2.0 * L)) * psi[:-2]
     worst_up = (np.max(np.abs(up - target_up), axis=1) / np.max(np.abs(target_up), axis=1)).max(initial=0.0)
     worst_dn = (np.max(np.abs(dn[1:] - target_dn), axis=1) / np.max(np.abs(target_dn), axis=1)).max(initial=0.0)
     checks.append(_result("ladder-raising", "raising-eigenvalue", worst_up, 1e-9, ov))
     checks.append(_result("ladder-lowering", "lowering-eigenvalue", worst_dn, 1e-9, ov))
     checks.append(_result("ground-annihilation", "lowering-kills-ground", np.max(np.abs(dn[0])), 1e-10, ov))
 
-    r = commutator_residual(levels, config, grid=_levels_on(grid, 2)).max()
+    r = commutator_residual(levels, config, grid=rows).max()
     checks.append(_result("commutator", "ladder-commutator", r, 1e-9, ov))
-    del grid, psi, u, du  # release the shared rows before the coherent states are built
+    del grid, rows, psi, u, du  # release the shared rows before the coherent states are built
 
     cas = L * L - 0.25
     r = max(abs(casimir_eigenvalue(n, config) - cas) for n in range(21))

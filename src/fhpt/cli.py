@@ -23,8 +23,8 @@ import numpy as np
 
 from .checks import CheckConfig, run_checks
 from .coherent import _diagonal_moments, build_coherent_state, general_expectation, lowering_eigenstate_residual
-from .errors import ConvergenceError, DomainError, IntegrationError
-from .model import PotentialParams, build_basis_state, eval_state, momentum_level
+from .errors import ConvergenceError, DomainError, IntegrationError, _check_int
+from .model import _MAX_LEVEL, PotentialParams, build_basis_state, eval_state, momentum_level
 from .quadrature import gauss_legendre
 
 __all__ = ["main", "parse_z"]
@@ -205,6 +205,7 @@ def _cmd_coherent(args: argparse.Namespace) -> int:
 
 def _cmd_resolution(args: argparse.Namespace) -> int:
     _at_least("--nmax", args.nmax, 0)
+    _check_int("--nmax", args.nmax, 0, _MAX_LEVEL)  # the level bound, before any per-level list is built
     moments, r_max = _diagonal_moments(args.nmax, _params(args), gauss_legendre(args.quad_order))
     rows = [[n, float(v), float(abs(v - 1.0))] for n, v in enumerate(moments)]
     config = _config(args, nmax=args.nmax, quad_order=args.quad_order)

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, _check_ints
-from .model import PotentialParams, _as_list, _one_or_rows
+from .model import _MAX_LEVEL, PotentialParams, _as_list, _one_or_rows
 from .quadrature import QuadratureRule, default_r_max, integrate_semi_infinite_k_weight
 from .special import _bessel_i_series, bessel_i
 
@@ -169,13 +169,13 @@ def resolution_of_identity_check(
     the angular integral contributes 2 pi only on the diagonal and vanishes
     exactly otherwise; the radial part reduces to a K-weighted moment.  The
     identity holds when every diagonal element equals 1.  n and n_prime are
-    each a level, or sequences of one length for one element per pair
+    each a level in [0, 100], or sequences of one length for one element per pair
     (n[i], n_prime[i]), whose diagonal moments share one pass over the K-grid;
     each element equals its own pair's call bit for bit.
     """
     ns, one = _as_list(n)
     ms, one_prime = _as_list(n_prime)
-    _check_ints("level index", ns + ms, 0)
+    _check_ints("level index", ns + ms, 0, _MAX_LEVEL)
     if len(ns) != len(ms):
         raise DomainError(f"n and n_prime must have one length, got {len(ns)} and {len(ms)}")
     L = params.L

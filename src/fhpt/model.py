@@ -203,10 +203,10 @@ def eval_state(states, tau) -> np.ndarray | float:
     return _one_or_rows(one, scale * np.cos(t) ** sts[0].lam * c, tau)
 
 
-def _grid_rows(levels, params: PotentialParams, points: int):
-    # a sequence of levels on `points` tau points 0.05 inside the interval ends: the basis states,
+def _grid_rows(levels, params: PotentialParams):
+    # a sequence of levels on 401 tau points 0.05 inside the interval ends: the basis states,
     # y = sin(tau), cos(tau), psi, and scale * C_n^lam(y) with its first two y-derivatives, one row per level
-    tau = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, points)
+    tau = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, 401)
     states = [build_basis_state(k, params) for k in levels]
     y, cq = np.sin(tau), np.cos(tau)
     scale, (c, dc, d2c) = _poly_derivatives(states, y, 2)
@@ -214,11 +214,9 @@ def _grid_rows(levels, params: PotentialParams, points: int):
     return states, y, cq, psi, scale * c, scale * dc, scale * d2c
 
 
-def _levels_on(grid, step: int):
-    # levels 0..nmax of a 401-point _grid_rows grid of levels 0..nmax + 1, on every step-th tau point:
-    # np.linspace's [::2] and [::4] equal its 201- and 101-point grids, so these are their rows bit for bit
-    states, *arrays = grid
-    return (states[:-1], *(a[::step] if a.ndim == 1 else a[:-1, ::step] for a in arrays))
+def _levels_on(grid):
+    # levels 0..nmax of a _grid_rows grid of levels 0..nmax + 1, bit for bit their own _grid_rows
+    return (grid[0][:-1], *(a if a.ndim == 1 else a[:-1] for a in grid[1:]))
 
 
 def residual_ode(n, params: PotentialParams, momentum: float | None = None, grid=None) -> float | np.ndarray:
@@ -230,10 +228,10 @@ def residual_ode(n, params: PotentialParams, momentum: float | None = None, grid
     detector for off-spectrum values.  The grid keeps a 0.05 margin from
     the interval ends where sec^2 amplifies roundoff.  A sequence of levels
     gives one residual per level.  grid, if given, must be the rows that
-    _grid_rows returns on 401 points for the same levels and well.
+    _grid_rows returns for the same levels and well.
     """
     levels, one = _as_list(n)
-    states, y, cq, psi, u, du, d2u = _grid_rows(levels, params, 401) if grid is None else grid
+    states, y, cq, psi, u, du, d2u = _grid_rows(levels, params) if grid is None else grid
     M, lam = params.mass_scale, params.L + 0.5
     # psi'' in tau via the chain rule on the envelope-times-polynomial form
     core = cq**lam * ((1.0 - y * y) * d2u - (2.0 * lam + 1.0) * y * du - lam * lam * u)

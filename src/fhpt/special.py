@@ -240,12 +240,14 @@ def _k_trapezoid(mu: float, x):
 
 def _k_upward(nl: int, mu: float, x, k_mu, k_mu1):
     # K_{mu+j+1} = K_{mu+j-1} + 2 (mu+j)/x K_{mu+j} up to K_{mu+nl}, and no further: K_{mu+nl+1} can
-    # overflow where K_{mu+nl} does not.  A value past the range is inf, first at the smallest x, and raises
-    if nl == 0:
+    # overflow where K_{mu+nl} does not.  A value past the range is inf, first at the smallest x, and raises.
+    # A base pair of zeros, float or grid, has underflowed (x ~ 745 on), and a recurrence from zeros stays zero
+    peak = np.max if isinstance(x, np.ndarray) else float  # K >= 0, so a peak of 0.0 is all zeros
+    if nl == 0 or peak(k_mu) == peak(k_mu1) == 0.0:
         return k_mu
     for j in range(1, nl):
         k_mu, k_mu1 = k_mu1, k_mu + 2.0 * (mu + j) / x * k_mu1
-    if (k_mu1.max() if isinstance(k_mu1, np.ndarray) else k_mu1) == math.inf:
+    if peak(k_mu1) == math.inf:
         raise OverflowError(f"K_{nl + mu}({np.min(x)}) exceeds the double range")
     return k_mu1
 
@@ -281,8 +283,6 @@ def bessel_k(nu: float, x: float) -> float:
         raise DomainError(f"bessel_k requires x > 0, got {x!r}")
     nl, mu = _k_order(nu, x)
     k_mu, k_mu1 = _k_trapezoid(mu, x) if x > 2.0 else _k_temme(mu, x)
-    if k_mu == k_mu1 == 0.0:  # the base pair has underflowed (x ~ 745 on), and a recurrence from zeros stays zero
-        return 0.0
     return _k_upward(nl, mu, x, k_mu, k_mu1)
 
 

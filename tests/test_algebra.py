@@ -19,6 +19,7 @@ from fhpt.quadrature import gauss_legendre
 
 A_GRID = (0.55, 0.75, 1.0, 1.5, 2.0, 3.7, 20.0)
 TAU = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, 101)
+GRID_TAU = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, 401)  # the tau points of model._grid_rows
 
 
 def test_ladder_coefficients_values():
@@ -61,15 +62,15 @@ def test_lowering_matches_eigenvalue_relation(A):
 def test_level_ranged_images_equal_per_state_calls(A):
     p = PotentialParams(A=A)
     states = [build_basis_state(n, p) for n in range(100)]
-    _, y, _, _, u, du, _ = _grid_rows(range(100), p, len(TAU))
-    assert np.array_equal(y, np.sin(TAU))
+    _, y, _, _, u, du, _ = _grid_rows(range(100), p)
+    assert np.array_equal(y, np.sin(GRID_TAU))
     for apply in (apply_raising, apply_lowering):
         images = apply(states)(y)
         assert np.array_equal(images, apply(states)(y, (u, du)))
         for st, image in zip(states, images):
             assert np.array_equal(image, apply(st)(y))
-    for st, psi in zip(states, eval_state(states, TAU)):
-        assert np.array_equal(psi, eval_state(st, TAU))
+    for st, psi in zip(states, eval_state(states, GRID_TAU)):
+        assert np.array_equal(psi, eval_state(st, GRID_TAU))
 
 
 def test_ground_state_annihilated_exactly():

@@ -188,33 +188,23 @@ def test_default_run_builds_each_state_once(monkeypatch):
     assert (len(basis), len(labels)) == (34, 5)
 
 
-def test_shared_grid_thins_to_the_coarser_grids():
-    # every second and every fourth of 401 points are the 201- and 101-point grids, bit for bit
-    a, b = -0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05
-    fine = np.linspace(a, b, 401)
-    assert fine[::2].tobytes() == np.linspace(a, b, 201).tobytes()
-    assert fine[::4].tobytes() == np.linspace(a, b, 101).tobytes()
-
-
 @pytest.mark.parametrize("A", [0.65, 2.0, 21.0])
 def test_shared_grid_rows_equal_each_checks_own_rows(A):
+    # levels 0..nmax of the grid of 0..nmax + 1 that verify shares are those levels' own rows, bit for bit
     p = PotentialParams(A=A)
-    grid = _grid_rows(range(12), p, 401)
-    for step, points in ((1, 401), (2, 201), (4, 101)):
-        shared, own = _levels_on(grid, step), _grid_rows(range(11), p, points)
-        assert [vars(s) for s in shared[0]] == [vars(s) for s in own[0]]
-        for got, want in zip(shared[1:], own[1:]):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    shared, own = _levels_on(_grid_rows(range(12), p)), _grid_rows(range(11), p)
+    assert [vars(s) for s in shared[0]] == [vars(s) for s in own[0]]
+    for got, want in zip(shared[1:], own[1:]):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("A", [0.65, 2.0, 21.0])
 def test_residuals_on_the_shared_grid_equal_their_own(A):
     p = PotentialParams(A=A)
-    grid = _grid_rows(range(12), p, 401)
+    rows = _levels_on(_grid_rows(range(12), p))
     levels = range(11)
-    assert residual_ode(levels, p, grid=_levels_on(grid, 1)).tobytes() == residual_ode(levels, p).tobytes()
-    got = commutator_residual(levels, p, grid=_levels_on(grid, 2))
-    assert got.tobytes() == commutator_residual(levels, p).tobytes()
+    assert residual_ode(levels, p, grid=rows).tobytes() == residual_ode(levels, p).tobytes()
+    assert commutator_residual(levels, p, grid=rows).tobytes() == commutator_residual(levels, p).tobytes()
 
 
 @pytest.mark.parametrize("A,cold", [(2.0, 31), (21.0, 31)])

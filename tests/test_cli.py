@@ -381,8 +381,8 @@ ode-residual,secant-well-equation,5.420722485722268e-13,1e-09,true
 spectrum-square-law,unit-well-squared-integers,0.0,1e-14,true
 gram-identity,basis-orthonormality,2.886579864025407e-15,1e-10,true
 gram-order-doubling,quadrature-convergence,6.661338147750939e-16,1e-12,true
-ladder-raising,raising-eigenvalue,4.767165042101776e-15,1e-09,true
-ladder-lowering,lowering-eigenvalue,3.787661107066465e-15,1e-09,true
+ladder-raising,raising-eigenvalue,6.28105951478208e-15,1e-09,true
+ladder-lowering,lowering-eigenvalue,4.790373851568977e-15,1e-09,true
 ground-annihilation,lowering-kills-ground,0.0,1e-10,true
 commutator,ladder-commutator,9.239143561501516e-14,1e-09,true
 casimir-constancy,casimir-invariant,7.105427357601002e-15,1e-12,true
@@ -440,14 +440,14 @@ bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
     {
       "name": "ladder-raising",
       "identity": "raising-eigenvalue",
-      "residual": 4.767165042101776e-15,
+      "residual": 6.28105951478208e-15,
       "tol": 1e-09,
       "pass": true
     },
     {
       "name": "ladder-lowering",
       "identity": "lowering-eigenvalue",
-      "residual": 3.787661107066465e-15,
+      "residual": 4.790373851568977e-15,
       "tol": 1e-09,
       "pass": true
     },
@@ -546,8 +546,8 @@ ode-residual,secant-well-equation,3.848928972382842e-14,1e-09,true
 spectrum-square-law,unit-well-squared-integers,0.0,1e-14,true
 gram-identity,basis-orthonormality,1.9984014443252818e-15,1e-10,true
 gram-order-doubling,quadrature-convergence,2.905661822261152e-16,1e-12,true
-ladder-raising,raising-eigenvalue,2.423194831770022e-15,1e-09,true
-ladder-lowering,lowering-eigenvalue,1.9141970844649586e-15,1e-09,true
+ladder-raising,raising-eigenvalue,2.422738085566759e-15,1e-09,true
+ladder-lowering,lowering-eigenvalue,2.1388737767943983e-15,1e-09,true
 ground-annihilation,lowering-kills-ground,0.0,1e-10,true
 commutator,ladder-commutator,2.589756750642814e-14,1e-09,true
 casimir-constancy,casimir-invariant,6.394884621840902e-14,1e-12,true
@@ -605,14 +605,14 @@ bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
     {
       "name": "ladder-raising",
       "identity": "raising-eigenvalue",
-      "residual": 2.423194831770022e-15,
+      "residual": 2.422738085566759e-15,
       "tol": 1e-09,
       "pass": true
     },
     {
       "name": "ladder-lowering",
       "identity": "lowering-eigenvalue",
-      "residual": 1.9141970844649586e-15,
+      "residual": 2.1388737767943983e-15,
       "tol": 1e-09,
       "pass": true
     },
@@ -886,9 +886,23 @@ def test_verify_exits_two_on_nmax_it_cannot_cover(nmax):
     assert "error: nmax must be an integer in [0, 99]" in res.stderr
 
 
+@pytest.mark.parametrize("args,node", [
+    (("resolution", "--nmax", "2", "--A", "1e6"), "735512.2347475017"),
+    (("verify", "--A", "1e6"), "735512.2347874739"),
+])
+def test_moment_overflow_at_a_large_well_exits_two_at_once(args, node):
+    # every K weight of this well is 0.0, and the grid returns them without running its 2L ~ 2e6 order
+    # steps (about 11 s before); the moment overflow then ends the call as it did
+    res = subprocess.run([sys.executable, "-m", "fhpt.cli", *args], capture_output=True, text=True, timeout=5)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"numerical failure: integrand returned a non-finite value at node {node}\n"
+
+
 OUT_OF_RANGE = {
     "spectrum --nmax -1": "--nmax must be at least 0, got -1",
     "resolution --nmax -1": "--nmax must be at least 0, got -1",
+    # unbounded before: the levels' list and their (nmax + 1) x 1,600 powers were built first
+    "resolution --nmax 101": "--nmax must be an integer in [0, 100], got 101",
     "wavefunction --samples 0": "--samples must be at least 1, got 0",
     "wavefunction --samples -3": "--samples must be at least 1, got -3",
     "verify --tol nan": "tol_override must be a positive finite number, got nan",

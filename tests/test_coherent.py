@@ -238,3 +238,10 @@ def test_resolution_rejects_bad_levels():
     p = PotentialParams(A=2.0)
     with pytest.raises(DomainError):
         resolution_of_identity_check(-1, 0, p, rule=gauss_legendre(200), r_max=_level_r_max(-1, p))
+
+
+def test_resolution_rejects_levels_past_the_basis_bound():
+    # the bound that overlap and build_basis_state apply, checked before any moment is formed
+    p = PotentialParams(A=2.0)
+    with pytest.raises(DomainError, match=r"level index must be an integer in \[0, 100\], got 101"):
+        resolution_of_identity_check(101, 101, p, rule=gauss_legendre(200), r_max=_level_r_max(101, p))

@@ -326,6 +326,18 @@ def test_bessel_k_past_the_range_of_its_base_pair_returns_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("nu,lo,hi", [(1e4, 2e4, 5e4), (1e6, 2e6, 5e6)])
+def test_bessel_k_grid_past_the_range_of_its_base_pairs_returns_zeros_at_once(nu, lo, hi):
+    # every base pair of these grids has underflowed, and the lower bound on ln K admits the order: the grid
+    # returns its zeros without running the nu order steps, as the scalar calls do
+    x = np.linspace(lo, hi, 50)
+    start = time.perf_counter()
+    got = _bessel_k_array(nu, x)
+    assert time.perf_counter() - start < 1.0
+    assert got.shape == x.shape and not np.any(got)
+    assert got.tolist() == [bessel_k(nu, v) for v in x.tolist()]
+
+
 def test_bessel_k_array_overflow_matches_scalar():
     # a K-grid from r = 1e-6 at order 45: the smallest node overflows
     x = 2.0 * np.geomspace(1e-6, 30.0, 200)
