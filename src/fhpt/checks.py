@@ -18,7 +18,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .algebra import apply_lowering, apply_raising, casimir_eigenvalue, commutator_residual
-from .coherent import _diagonal_moments, build_coherent_state, lowering_eigenstate_residual, radial_weight_moment
+from .coherent import (
+    build_coherent_state, lowering_eigenstate_residual, radial_weight_moment, resolution_of_identity_check
+)
 from .errors import DomainError, _check_int
 from .model import _MAX_LEVEL, PotentialParams, _grid_rows, _levels_on, momentum_level, overlap, residual_ode
 from .quadrature import _MAX_ORDER, default_r_max, gauss_legendre, integrate_semi_infinite_k_weight
@@ -156,16 +158,17 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     r = max(lowering_eigenstate_residual(cs) for cs in coherent[2:])
     checks.append(_result("lowering-eigenstate", "annihilation-eigenrelation", r, 1e-10, ov))
 
-    # completeness over the label plane: diagonal moments equal 1
-    moments, r_max = _diagonal_moments(config.nmax, config, rule)
+    # completeness over the label plane: diagonal moments equal 1.  Both moment checks integrate one family, at
+    # levels 0..nmax and at the radial levels, on the cutoff of the top degree of either, so they share one K-grid
+    radial = (0, 3, 7)
+    r_max = default_r_max(2.0 * max(config.nmax, radial[-1]) + 2.0 * L + 1.0)
+    moments = resolution_of_identity_check(levels, levels, config, rule, r_max).tolist()
     r = max(abs(v - 1.0) for v in moments)
     checks.append(_result("identity-resolution", "label-plane-completeness", r, 1e-7, ov))
 
-    # the same moment family at three degrees in one pass, on the larger of the two cutoffs,
-    # so that from nmax = 7 up both checks integrate against one K-grid
+    # the same moment family at the radial levels in one pass
     r = 0.0
-    degrees = [2.0 * k + 2.0 * L + 1.0 for k in (0, 3, 7)]
-    r_max = max(r_max, default_r_max(degrees[-1]))
+    degrees = [2.0 * k + 2.0 * L + 1.0 for k in radial]
     quads = integrate_semi_infinite_k_weight(lambda rr: np.array([rr**mu for mu in degrees]), 2.0 * L, r_max, rule)
     for mu, quad in zip(degrees, quads.tolist()):
         closed = radial_weight_moment(mu, 2.0 * L)

@@ -22,10 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .checks import CheckConfig, run_checks
-from .coherent import _diagonal_moments, build_coherent_state, general_expectation, lowering_eigenstate_residual
+from .coherent import (
+    build_coherent_state, general_expectation, lowering_eigenstate_residual, resolution_of_identity_check
+)
 from .errors import ConvergenceError, DomainError, IntegrationError, _check_int
 from .model import _MAX_LEVEL, PotentialParams, build_basis_state, eval_state, momentum_level
-from .quadrature import gauss_legendre
+from .quadrature import default_r_max, gauss_legendre
 
 __all__ = ["main", "parse_z"]
 
@@ -116,18 +118,17 @@ def _csv_rows(rows: list) -> list[str]:
 
 
 def _write(
-    args: argparse.Namespace, payload: dict, table: str, header: str, config: dict, columns: list[str], rows: list,
-    summary: dict,
+    args: argparse.Namespace, payload: dict, table: str, header: str, columns: list[str], rows: list, summary: dict
 ) -> None:
     """Write payload as JSON, exactly json.dumps(payload, indent=2) with its table key's rows in one
-    encoder pass, or as CSV: a header line, '# key=value' config lines, the table, then '# key=value'
-    summary lines."""
+    encoder pass, or as CSV: a header line, '# key=value' lines of payload["config"], the table, then
+    '# key=value' summary lines."""
     if args.format == "json":
         items = (f"{_JSON_FLAT(k)}: {_json_rows(v) if k == table else _json_value(v)}" for k, v in payload.items())
         text = "{\n  " + ",\n  ".join(items) + "\n}\n"
     else:
         lines = [header]
-        for k, v in config.items():
+        for k, v in payload["config"].items():
             lines.append(f"# {k}={_fmt_cell(v)}")
         lines.append(",".join(columns))
         lines.extend(_csv_rows(rows))
@@ -152,7 +153,7 @@ def _emit(args: argparse.Namespace, command: str, config: dict, columns: list[st
         "rows": rows,
         "summary": summary,
     }
-    _write(args, payload, "rows", f"# {TABLE_VERSION} command={command}", config, columns, rows, summary)
+    _write(args, payload, "rows", f"# {TABLE_VERSION} command={command}", columns, rows, summary)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -206,7 +207,9 @@ def _cmd_coherent(args: argparse.Namespace) -> int:
 def _cmd_resolution(args: argparse.Namespace) -> int:
     _at_least("--nmax", args.nmax, 0)
     _check_int("--nmax", args.nmax, 0, _MAX_LEVEL)  # the level bound, before any per-level list is built
-    moments, r_max = _diagonal_moments(args.nmax, _params(args), gauss_legendre(args.quad_order))
+    params, levels = _params(args), range(args.nmax + 1)
+    r_max = default_r_max(2.0 * args.nmax + 2.0 * params.L + 1.0)  # the top level's degree: one K-grid for every level
+    moments = resolution_of_identity_check(levels, levels, params, gauss_legendre(args.quad_order), r_max).tolist()
     rows = [[n, float(v), float(abs(v - 1.0))] for n, v in enumerate(moments)]
     config = _config(args, nmax=args.nmax, quad_order=args.quad_order)
     summary = {"r_max": r_max, "max_abs_deviation": max(abs(v - 1.0) for v in moments)}
@@ -251,10 +254,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"{n_failed} of {len(report.checks)} checks failed", file=sys.stderr)
     else:
         print(f"all {len(report.checks)} checks passed", file=sys.stderr)
-    columns = ["name", "identity", "residual", "tol", "pass"]
-    rows = [[c.name, c.identity, c.residual, c.tol, c.passed] for c in report.checks]
-    summary = {"pass": report.passed}
-    _write(args, report.to_dict(), "checks", f"# {report.version}", report.config, columns, rows, summary)
+    payload = report.to_dict()
+    columns = list(payload["checks"][0])
+    rows = [list(c.values()) for c in payload["checks"]]
+    _write(args, payload, "checks", f"# {report.version}", columns, rows, {"pass": report.passed})
     return 0 if report.passed else 1
 
 

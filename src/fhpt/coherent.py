@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, _check_ints
 from .model import _MAX_LEVEL, PotentialParams, _as_list, _one_or_rows
-from .quadrature import QuadratureRule, default_r_max, integrate_semi_infinite_k_weight
+from .quadrature import QuadratureRule, integrate_semi_infinite_k_weight
 from .special import _bessel_i_series, bessel_i
 
 __all__ = [
@@ -190,10 +190,3 @@ def resolution_of_identity_check(
             out[i] = 4.0 * math.exp(-math.lgamma(ns[i] + 1.0) - math.lgamma(ns[i] + 2.0 * L + 1.0)) * value
     return _one_or_rows(one and one_prime, out)
 
-
-def _diagonal_moments(nmax: int, params: PotentialParams, rule: QuadratureRule) -> tuple[list[float], float]:
-    # the diagonal elements of levels 0..nmax and their one cutoff, taken at the top level's degree, so
-    # that every level integrates against one K-grid in one pass
-    r_max = default_r_max(2.0 * nmax + 2.0 * params.L + 1.0)
-    levels = range(nmax + 1)
-    return resolution_of_identity_check(levels, levels, params, rule=rule, r_max=r_max).tolist(), r_max

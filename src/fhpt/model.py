@@ -223,12 +223,13 @@ def residual_ode(n, params: PotentialParams, momentum: float | None = None, grid
     """Scaled residual of the master equation at level n on 401 tau points.
 
     Returns max |c1^2 psi'' + (c/M) P psi - (1/M) A(A-1) sec^2(tau) psi|
-    divided by max |psi| over the grid.  P defaults to the quantized value
-    for level n; passing momentum explicitly turns the residual into a
-    detector for off-spectrum values.  The grid keeps a 0.05 margin from
-    the interval ends where sec^2 amplifies roundoff.  A sequence of levels
-    gives one residual per level.  grid, if given, must be the rows that
-    _grid_rows returns for the same levels and well.
+    divided by c1^2 max |psi| over the grid: the equation is c1^2 times its
+    form in tau, so the residual does not grow with c1.  P defaults to the
+    quantized value for level n; passing momentum explicitly turns the
+    residual into a detector for off-spectrum values.  The grid keeps a 0.05
+    margin from the interval ends where sec^2 amplifies roundoff.  A sequence
+    of levels gives one residual per level.  grid, if given, must be the rows
+    that _grid_rows returns for the same levels and well.
     """
     levels, one = _as_list(n)
     states, y, cq, psi, u, du, d2u = _grid_rows(levels, params) if grid is None else grid
@@ -238,7 +239,7 @@ def residual_ode(n, params: PotentialParams, momentum: float | None = None, grid
     d2 = core + lam * (lam - 1.0) * cq ** (lam - 2.0) * u
     P = momentum_level([s.n for s in states], params)[:, None] if momentum is None else float(momentum)
     res = params.c1**2 * d2 + (params.c / M) * P * psi - params.A * (params.A - 1.0) / M * (1.0 / cq**2) * psi
-    return _one_or_rows(one, np.max(np.abs(res), axis=1) / np.max(np.abs(psi), axis=1))
+    return _one_or_rows(one, np.max(np.abs(res), axis=1) / (params.c1**2 * np.max(np.abs(psi), axis=1)))
 
 
 def overlap(m, n, params: PotentialParams, rule: QuadratureRule) -> float | np.ndarray:

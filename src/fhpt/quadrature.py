@@ -85,11 +85,9 @@ def default_r_max(poly_degree: float) -> float:
 
 # a verify integrates several moments against each grid, so grids are cached
 # per (nu, geometry, rule); rules are cached per order, so a rule's identity
-# is a stable key, and 32 grids of 1,600 nodes (order 200) take about 0.8 MB.  A main grid
-# (probes true) carries the scalar K_nu(2 r) at the tail probes r = hi, lo and
-# 2 lo, which every moment on it shares; a lower-tail grid carries none
+# is a stable key, and 32 grids of 1,600 nodes (order 200) take about 0.8 MB
 @functools.lru_cache(maxsize=32)
-def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int, rule: QuadratureRule, probes: bool = True):
+def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int, rule: QuadratureRule):
     edges = np.geomspace(lo, hi, n_panels + 1)
     l, h = edges[:-1, None], edges[1:, None]
     nodes = (0.5 * (l + h) + 0.5 * (h - l) * rule.nodes).ravel()
@@ -97,7 +95,7 @@ def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int, rule: Quadr
     wk = weights * _bessel_k_array(nu, 2.0 * nodes)
     nodes.setflags(write=False)
     wk.setflags(write=False)
-    return nodes, wk, tuple(bessel_k(nu, 2.0 * r) for r in (hi, lo, 2.0 * lo) if probes)
+    return nodes, wk
 
 
 # a panel of ratio R sees the r = 0 branch point on the Bernstein ellipse rho = (sqrt R + 1) / (sqrt R - 1), where
@@ -143,7 +141,8 @@ def integrate_semi_infinite_k_weight(
     if not r_max > lo:
         raise DomainError(f"r_max must exceed the inner mesh edge {lo!r}, got {r_max!r}")
 
-    nodes, wk, (k_hi, k_lo, k_2lo) = _k_weighted_grid(nu, lo, r_max, _main_panels(rule), rule)
+    nodes, wk = _k_weighted_grid(nu, lo, r_max, _main_panels(rule), rule)
+    k_hi, k_lo, k_2lo = (bessel_k(nu, 2.0 * r) for r in (r_max, lo, 2.0 * lo))
     # a value that overflows is rejected below with its node or probe, so numpy's warning would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         gv = np.asarray(g(nodes), dtype=float)
@@ -177,7 +176,7 @@ def integrate_semi_infinite_k_weight(
             return total
         k = min(math.ceil(math.log(tail / (1e-13 * scale), 100.0) / (p + 1.0)), int(math.log(lo / floor, 100.0)))
         if k > 0:
-            pn, pw, _ = _k_weighted_grid(nu, lo / 100.0**k, lo, k, rule, False)
+            pn, pw = _k_weighted_grid(nu, lo / 100.0**k, lo, k, rule)
             total += float(np.dot(pw, np.atleast_2d(np.asarray(g(pn), dtype=float))[i]))
         return total + tail * 100.0 ** (-k * (p + 1.0))
 

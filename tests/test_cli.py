@@ -553,7 +553,7 @@ commutator,ladder-commutator,2.589756750642814e-14,1e-09,true
 casimir-constancy,casimir-invariant,6.394884621840902e-14,1e-12,true
 coherent-normalization,unit-weight-sum,6.661338147750939e-16,1e-12,true
 lowering-eigenstate,annihilation-eigenrelation,5.939536886830383e-16,1e-10,true
-identity-resolution,label-plane-completeness,3.1086244689504383e-15,1e-07,true
+identity-resolution,label-plane-completeness,3.3306690738754696e-15,1e-07,true
 radial-closed-form,k-weighted-moments,1.5726464152043801e-15,1e-09,true
 bessel-wronskian,cross-product-identity,6.439293542825908e-15,1e-10,true
 half-order-bessel,elementary-closed-forms,7.513987692068883e-15,1e-12,true
@@ -654,7 +654,7 @@ bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
     {
       "name": "identity-resolution",
       "identity": "label-plane-completeness",
-      "residual": 3.1086244689504383e-15,
+      "residual": 3.3306690738754696e-15,
       "tol": 1e-07,
       "pass": true
     },
@@ -781,7 +781,7 @@ def _csv_parts(payload, table):
 def _written(fmt, payload, table, capsys):
     columns, rows, summary = _csv_parts(payload, table)
     args = argparse.Namespace(format=fmt, out=None)
-    cli._write(args, payload, table, "# head", payload["config"], columns, rows, summary)
+    cli._write(args, payload, table, "# head", columns, rows, summary)
     return capsys.readouterr().out
 
 
@@ -870,6 +870,11 @@ def test_exit_one_when_checks_fail():
     res = run_cli("verify", "--nmax", "4", "--quad-order", "80", "--tol", "1e-30")
     assert res.returncode == 1
     assert "FAIL" in res.stderr
+
+
+def test_verify_passes_a_correct_well_at_a_fast_time_scale():
+    res = run_cli("verify", "--c1", "100")
+    assert res.returncode == 0, res.stderr
 
 
 def test_exit_two_on_domain_error():

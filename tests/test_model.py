@@ -502,3 +502,11 @@ def test_residual_detects_off_spectrum_momentum():
 def test_residual_general_units():
     p = PotentialParams(A=2.3, c1=2.0, m0=0.25, c=3.0, hbar=1.7)
     assert residual_ode(6, p) < 1e-9
+
+
+def test_residual_does_not_grow_with_c1():
+    # c1 = 10 and m0 = 0.005 give one g = A (A - 1) / (c1^2 M) = 0.02, so one equation in tau; the
+    # equation in t is c1^2 times it, which the residual divides out
+    by_c1 = residual_ode(range(11), PotentialParams(A=2.0, c1=10.0))
+    by_m0 = residual_ode(range(11), PotentialParams(A=2.0, m0=0.005))
+    assert 0.5 < by_c1.max() / by_m0.max() < 2.0

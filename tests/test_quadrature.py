@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from fhpt.coherent import _diagonal_moments
+from fhpt import quadrature
+from fhpt.coherent import resolution_of_identity_check
 from fhpt.errors import DomainError, IntegrationError
 from fhpt.model import PotentialParams
 from fhpt.quadrature import (
@@ -128,7 +129,7 @@ def test_k_weighted_rejects_bad_scale():
 def test_k_weighted_rejects_non_finite_integrand():
     # the message names the first bad node as a plain float
     rule = gauss_legendre(20)
-    nodes, _, _ = _k_weighted_grid(0.5, 1e-6, 30.0, _main_panels(rule), rule)
+    nodes, _ = _k_weighted_grid(0.5, 1e-6, 30.0, _main_panels(rule), rule)
     bad = float(nodes[nodes > 5.0][0])
     with pytest.raises(IntegrationError) as err:
         integrate_semi_infinite_k_weight(lambda r: np.where(r > 5.0, np.inf, r), 0.5, r_max=30.0, rule=rule)
@@ -160,7 +161,7 @@ def test_k_grid_cache_is_bounded():
         integrate_semi_infinite_k_weight(lambda r: r**3.0, 0.5 + 0.01 * k, r_max=30.0, rule=rule)
     info = _k_weighted_grid.cache_info()
     assert info.maxsize == 32 and info.currsize <= 32
-    nodes, wk, _ = _k_weighted_grid(0.89, 1e-6, 30.0, 32, rule)
+    nodes, wk = _k_weighted_grid(0.89, 1e-6, 30.0, 32, rule)
     assert _k_weighted_grid(0.89, 1e-6, 30.0, 32, rule)[1] is wk
 
 
@@ -168,17 +169,27 @@ def test_k_grid_cache_is_bounded():
     "nu,lo,hi,n_panels", [(3.0, 1e-6, 185.0, 32), (0.3, 1e-12, 1e-6, 3), (45.0, 0.0314, 940.0, 32), (4.0, 1e-6, 235.0, 8)]
 )
 def test_k_grid_matches_per_panel_assembly(nu, lo, hi, n_panels):
-    # the per-panel expressions the broadcast replaced, kept as the reference
+    # the per-panel expressions the broadcast replaced, kept as the reference; the grid holds only these
     rule = gauss_legendre(200)
     edges = np.geomspace(lo, hi, n_panels + 1)
     panels = list(zip(edges[:-1], edges[1:]))
     ref_nodes = np.concatenate([0.5 * (l + h) + 0.5 * (h - l) * rule.nodes for l, h in panels])
     ref_weights = np.concatenate([0.5 * (h - l) * rule.weights for l, h in panels])
-    nodes, wk, probes = _k_weighted_grid(nu, lo, hi, n_panels, rule)
+    nodes, wk = _k_weighted_grid(nu, lo, hi, n_panels, rule)
     assert np.array_equal(nodes, ref_nodes)
     assert np.array_equal(wk, ref_weights * _bessel_k_array(nu, 2.0 * ref_nodes))
-    assert probes == (bessel_k(nu, 2.0 * hi), bessel_k(nu, 2.0 * lo), bessel_k(nu, 4.0 * lo))
-    assert _k_weighted_grid(nu, lo, hi, n_panels, rule, False)[2] == ()  # a lower-tail grid has none
+
+
+@pytest.mark.parametrize("nu", [0.3, 3.0])
+def test_tail_probes_are_taken_on_every_call(monkeypatch, nu):
+    # the integrator takes its three tail probes K_nu(2 r) at r = r_max, lo and 2 lo with the public bessel_k
+    # on each call, a warm grid included; r^(nu - 0.5) takes lower-tail panels as well, which take none
+    rule = gauss_legendre(200)
+    probes = []
+    monkeypatch.setattr(quadrature, "bessel_k", lambda v, x: probes.append((v, x)) or bessel_k(v, x))
+    for _ in range(2):
+        integrate_semi_infinite_k_weight(lambda r: r ** (nu - 0.5), nu, r_max=185.0, rule=rule)
+    assert probes == 2 * [(nu, 370.0), (nu, 2e-6), (nu, 4e-6)]
 
 
 def test_main_grid_panels_follow_the_rule_order():
@@ -198,9 +209,9 @@ def test_k_moments_reach_rounding_at_every_rule_order(order, A):
     L, rule = params.L, gauss_legendre(order)
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
-        moments, r_max = _diagonal_moments(10, params, rule)
+        r_max = default_r_max(20.0 + 2.0 * L + 1.0)
+        moments = resolution_of_identity_check(range(11), range(11), params, rule, r_max)
         assert max(abs(v - 1.0) for v in moments) < 1e-12
-        r_max = max(r_max, default_r_max(14.0 + 2.0 * L + 1.0))
         for k in (0, 3, 7):
             mu = 2.0 * k + 2.0 * L + 1.0
             got = integrate_semi_infinite_k_weight(lambda r: r**mu, 2.0 * L, r_max=r_max, rule=rule)
@@ -241,7 +252,7 @@ def test_row_valued_integrand_names_the_first_bad_node_of_the_first_failing_row(
     # row 1 overflows from r ~ 5 on and row 2 from r ~ 1 on: the message names row 1's first bad node,
     # which a scan of the whole block in node order would not
     rule = gauss_legendre(20)
-    nodes, _, _ = _k_weighted_grid(0.5, 1e-6, 30.0, _main_panels(rule), rule)
+    nodes, _ = _k_weighted_grid(0.5, 1e-6, 30.0, _main_panels(rule), rule)
 
     def g(r):
         return np.array([r, np.where(r > 5.0, np.inf, r), np.where(r > 1.0, np.nan, r)])
