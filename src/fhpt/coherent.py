@@ -167,10 +167,12 @@ def resolution_of_identity_check(
 
     With the weight (2 / pi) K_(2L)(2|z|) / |z|^(2L - 1) on the label plane,
     the angular integral contributes 2 pi only on the diagonal and vanishes
-    exactly otherwise; the radial part reduces to a K-weighted moment.  The
-    identity holds when every diagonal element equals 1.  n and n_prime are
-    each a level in [0, 100], or sequences of one length for one element per pair
-    (n[i], n_prime[i]), whose diagonal moments share one pass over the K-grid;
+    exactly otherwise; the radial part reduces to the moment of r^mu, mu = 2n + 2L + 1,
+    against K_(2L)(2r).  Its row is normalized in the row, exp(mu ln r - ln M_n) with
+    M_n = n! Gamma(n + 2L + 1) / 4 the moment's closed form, so it stays finite wherever
+    the integrand does, and the identity holds when every diagonal element equals 1.
+    n and n_prime are each a level in [0, 100], or sequences of one length for one element
+    per pair (n[i], n_prime[i]), whose diagonal moments share one pass over the K-grid;
     each element equals its own pair's call bit for bit.
     """
     ns, one = _as_list(n)
@@ -182,11 +184,9 @@ def resolution_of_identity_check(
     out = np.zeros(len(ns))
     diagonal = [i for i, (k, k_prime) in enumerate(zip(ns, ms)) if k == k_prime]
     if diagonal:
-        degrees = [2.0 * ns[i] + 2.0 * L + 1.0 for i in diagonal]
-        values = integrate_semi_infinite_k_weight(
-            lambda rr: np.array([rr**d for d in degrees]), 2.0 * L, r_max=r_max, rule=rule
-        )
-        for i, value in zip(diagonal, values.tolist()):
-            out[i] = 4.0 * math.exp(-math.lgamma(ns[i] + 1.0) - math.lgamma(ns[i] + 2.0 * L + 1.0)) * value
+        levels = [ns[i] for i in diagonal]
+        mu = np.array([[2.0 * k + 2.0 * L + 1.0] for k in levels])
+        log_m = np.array([[math.lgamma(k + 1.0) + math.lgamma(k + 2.0 * L + 1.0) - math.log(4.0)] for k in levels])
+        out[diagonal] = integrate_semi_infinite_k_weight(lambda r: np.exp(mu * np.log(r) - log_m), 2.0 * L, r_max, rule)
     return _one_or_rows(one and one_prime, out)
 

@@ -93,6 +93,10 @@ def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int, rule: Quadr
     nodes = (0.5 * (l + h) + 0.5 * (h - l) * rule.nodes).ravel()
     weights = (0.5 * (h - l) * rule.weights).ravel()
     wk = weights * _bessel_k_array(nu, 2.0 * nodes)
+    live = wk > 0.0  # a node whose K weight is 0.0 adds exactly 0 to every finite row, so only live ones are kept
+    if not live.any():
+        raise IntegrationError(f"every K weight on [{lo!r}, {hi!r}] is 0.0 at nu={nu!r}")
+    nodes, wk = nodes[live], wk[live]
     nodes.setflags(write=False)
     wk.setflags(write=False)
     return nodes, wk
@@ -124,13 +128,14 @@ def integrate_semi_infinite_k_weight(
     array of the k integrals from one pass over the grid; each equals that row's own call bit for
     bit, tail estimates and warnings included.
 
-    max(8, ceil(1600 / rule.order)) geometric panels span [lo, r_max].  lo
-    is 1e-6, or for nu above about 44 the radius e_nu below which K_nu(2 r)
-    ~ Gamma(nu) r^(-nu) / 2 leaves the double range.  Below lo the integrand
-    follows a power law C r^p, probed at lo and 2 lo, so the dropped piece
-    is T = f(lo) lo / (p + 1).  When T exceeds 1e-13 of the result, ratio-100
-    panels cover the part of (e_nu, lo) that matters and the rest below them
-    is added in closed form.  A probed p <= -1 (a divergent integral) or an
+    max(8, ceil(1600 / rule.order)) geometric panels span [lo, r_max], and only their nodes
+    with a K weight > 0.0 are kept: any other adds exactly 0 to a finite row, as a tail probe
+    whose K is 0.0 does, so g may overflow there; a mesh with none raises IntegrationError.  lo
+    is 1e-6, or for nu above about 44 the radius e_nu below which K_nu(2 r) ~ Gamma(nu)
+    r^(-nu) / 2 leaves the double range.  Below lo the integrand follows a power law C r^p,
+    probed at lo and 2 lo, so the dropped piece is T = f(lo) lo / (p + 1).  When T exceeds
+    1e-13 of the result, ratio-100 panels cover the part of (e_nu, lo) that matters and the
+    rest below them is added in closed form.  A probed p <= -1 (a divergent integral) or an
     upper tail above 1e-12 of the result raises TruncationWarning.
     """
     nu = abs(nu)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fhpt import coherent, model, quadrature, special
+from fhpt import checks, coherent, model, quadrature, special
 from fhpt.algebra import commutator_residual
 from fhpt.checks import CheckConfig, run_checks
 from fhpt.errors import DomainError
@@ -155,8 +155,8 @@ def test_level_checks_run_one_recurrence_per_grid(monkeypatch):
 
 
 def test_moment_checks_make_one_integrator_call_each(monkeypatch):
-    # identity-resolution integrates its nmax + 1 diagonal moments in one pass over the K-grid, and
-    # radial-closed-form its three degrees in another, at any nmax
+    # one pass over the K-grid takes the normalized moments of levels 0..max(nmax, 7): identity-resolution
+    # reads levels 0..nmax of it and radial-closed-form levels 0, 3 and 7, at any nmax
     run_checks(CheckConfig(nmax=45))
     calls = _record_calls(monkeypatch, "integrate_semi_infinite_k_weight", quadrature)
     counts = []
@@ -164,7 +164,7 @@ def test_moment_checks_make_one_integrator_call_each(monkeypatch):
         calls.clear()
         run_checks(CheckConfig(nmax=nmax))
         counts.append(len(calls))
-    assert counts == [2, 2]
+    assert counts == [1, 1]
 
 
 def _warm_up_at_another_strength() -> None:
@@ -215,16 +215,46 @@ def test_residuals_on_the_shared_grid_equal_their_own(A):
 
 @pytest.mark.parametrize("A", [2.0, 21.0])
 def test_three_tail_probes_per_integrator_call(monkeypatch, A):
-    # 28 scalar K values belong to the Bessel checks, and each of the two
-    # integrator calls adds its three tail probes, cold or warm; the
-    # lower-tail grid of small 2L adds none
+    # 28 scalar K values belong to the Bessel checks, and the one integrator
+    # call adds its three tail probes, cold or warm; the lower-tail grid of
+    # small 2L adds none
     _warm_up_at_another_strength()
     calls = _record_calls(monkeypatch, "bessel_k")
     run_checks(CheckConfig(A=A))
-    assert len(calls) == 34
+    assert len(calls) == 31
     calls.clear()
     run_checks(CheckConfig(A=A))
-    assert len(calls) == 34
+    assert len(calls) == 31
+
+
+@pytest.mark.parametrize("A,nmax", [(45.0, 10), (2.0, 60), (2.0, 99)])
+def test_runs_past_the_former_moment_overflow_pass(A, nmax):
+    # the raw powers r^mu overflowed here once mu passed about 100; the rows normalized in the row do not
+    assert run_checks(CheckConfig(A=A, nmax=nmax)).passed
+
+
+@pytest.mark.parametrize("A,nmax,failing", [
+    (21.0, 99, {"gram-identity", "gram-order-doubling"}),  # order 200 under-resolves the Gram of levels near 99
+    (60.0, 10, {"radial-closed-form"}),  # the power law below the mesh edge e_nu is 2.5e-8 high
+])
+def test_runs_past_the_former_moment_overflow_fail_only_their_known_checks(A, nmax, failing):
+    report = run_checks(CheckConfig(A=A, nmax=nmax))
+    assert {c.name for c in report.checks if not c.passed} == failing
+
+
+def test_bessel_sum_bound_is_where_its_reference_leaves_the_normal_range():
+    # 2L = 2A - 1 in natural units; I_2L(4) is a normal double at the bound and subnormal just past it
+    assert special.bessel_i(checks._MAX_SUM_ORDER, 4.0) >= sys.float_info.min > special.bessel_i(196.49, 4.0)
+    CheckConfig(A=98.74)  # 2L = 196.48
+    for A in (98.75, 150.0, 1e6):
+        with pytest.raises(DomainError, match=r"gives 2L=.*; verify needs 2L <= 196.48, where bessel-sum-identity"):
+            CheckConfig(A=A)
+
+
+def test_bessel_sum_identity_holds_up_to_the_bound():
+    # its terms are formed in log space, so no Gamma overflows below the bound; the sum keeps rounding accuracy
+    report = run_checks(CheckConfig(A=98.0, nmax=0))
+    assert {c.name: c.residual for c in report.checks}["bessel-sum-identity"] < 1e-13
 
 
 @pytest.mark.parametrize("nmax", [-1, 100, 1000, True, 2.0, "3"])

@@ -144,10 +144,10 @@ n,weight,phase
 # nmax=1
 # quad_order=40
 n,value,deviation
-0,0.9999999999999996,4.440892098500626e-16
-1,1.0000000000000009,8.881784197001252e-16
+0,0.9999999999999997,3.3306690738754696e-16
+1,1.0000000000000004,4.440892098500626e-16
 # r_max=65.0
-# max_abs_deviation=8.881784197001252e-16
+# max_abs_deviation=4.440892098500626e-16
 """,
     ('expect', '--A', '3', '--z', '0.5+0.5i', '--tail-tol', '1e-8', '--format', 'csv'): """# fhpt-table/1 command=expect
 # A=3.0
@@ -276,18 +276,18 @@ weight_sum,0.9999999999395892
   "rows": [
     [
       0,
-      0.9999999999999996,
-      4.440892098500626e-16
+      0.9999999999999997,
+      3.3306690738754696e-16
     ],
     [
       1,
-      1.0000000000000009,
-      8.881784197001252e-16
+      1.0000000000000004,
+      4.440892098500626e-16
     ]
   ],
   "summary": {
     "r_max": 65.0,
-    "max_abs_deviation": 8.881784197001252e-16
+    "max_abs_deviation": 4.440892098500626e-16
   }
 }
 """,
@@ -388,12 +388,12 @@ commutator,ladder-commutator,9.239143561501516e-14,1e-09,true
 casimir-constancy,casimir-invariant,7.105427357601002e-15,1e-12,true
 coherent-normalization,unit-weight-sum,6.428191312579656e-14,1e-12,true
 lowering-eigenstate,annihilation-eigenrelation,4.628570439118569e-16,1e-10,true
-identity-resolution,label-plane-completeness,3.3306690738754696e-15,1e-07,true
-radial-closed-form,k-weighted-moments,7.401486830834377e-16,1e-09,true
+identity-resolution,label-plane-completeness,3.9968028886505635e-15,1e-07,true
+radial-closed-form,k-weighted-moments,1.5543122344752192e-15,1e-09,true
 bessel-wronskian,cross-product-identity,6.439293542825908e-15,1e-10,true
 half-order-bessel,elementary-closed-forms,7.513987692068883e-15,1e-12,true
 quadrature-exactness,polynomial-exactness,1.3877787807814457e-16,1e-12,true
-bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
+bessel-sum-identity,weight-series-resummation,2.0063093773401714e-15,1e-12,true
 # pass=true
 """,
     ('verify', '--A', '2', '--format', 'json'): """{
@@ -489,14 +489,14 @@ bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
     {
       "name": "identity-resolution",
       "identity": "label-plane-completeness",
-      "residual": 3.3306690738754696e-15,
+      "residual": 3.9968028886505635e-15,
       "tol": 1e-07,
       "pass": true
     },
     {
       "name": "radial-closed-form",
       "identity": "k-weighted-moments",
-      "residual": 7.401486830834377e-16,
+      "residual": 1.5543122344752192e-15,
       "tol": 1e-09,
       "pass": true
     },
@@ -524,7 +524,7 @@ bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
     {
       "name": "bessel-sum-identity",
       "identity": "weight-series-resummation",
-      "residual": 2.563617537712441e-15,
+      "residual": 2.0063093773401714e-15,
       "tol": 1e-12,
       "pass": true
     }
@@ -554,11 +554,11 @@ casimir-constancy,casimir-invariant,6.394884621840902e-14,1e-12,true
 coherent-normalization,unit-weight-sum,6.661338147750939e-16,1e-12,true
 lowering-eigenstate,annihilation-eigenrelation,5.939536886830383e-16,1e-10,true
 identity-resolution,label-plane-completeness,3.3306690738754696e-15,1e-07,true
-radial-closed-form,k-weighted-moments,1.5726464152043801e-15,1e-09,true
+radial-closed-form,k-weighted-moments,2.9976021664879227e-15,1e-09,true
 bessel-wronskian,cross-product-identity,6.439293542825908e-15,1e-10,true
 half-order-bessel,elementary-closed-forms,7.513987692068883e-15,1e-12,true
 quadrature-exactness,polynomial-exactness,1.3877787807814457e-16,1e-12,true
-bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
+bessel-sum-identity,weight-series-resummation,2.0063093773401714e-15,1e-12,true
 # pass=true
 """,
     ('verify', '--A', '3.7', '--nmax', '4', '--format', 'json'): """{
@@ -661,7 +661,7 @@ bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
     {
       "name": "radial-closed-form",
       "identity": "k-weighted-moments",
-      "residual": 1.5726464152043801e-15,
+      "residual": 2.9976021664879227e-15,
       "tol": 1e-09,
       "pass": true
     },
@@ -689,7 +689,7 @@ bessel-sum-identity,weight-series-resummation,2.563617537712441e-15,1e-12,true
     {
       "name": "bessel-sum-identity",
       "identity": "weight-series-resummation",
-      "residual": 2.563617537712441e-15,
+      "residual": 2.0063093773401714e-15,
       "tol": 1e-12,
       "pass": true
     }
@@ -891,16 +891,23 @@ def test_verify_exits_two_on_nmax_it_cannot_cover(nmax):
     assert "error: nmax must be an integer in [0, 99]" in res.stderr
 
 
-@pytest.mark.parametrize("args,node", [
-    (("resolution", "--nmax", "2", "--A", "1e6"), "735512.2347475017"),
-    (("verify", "--A", "1e6"), "735512.2347874739"),
-])
-def test_moment_overflow_at_a_large_well_exits_two_at_once(args, node):
-    # every K weight of this well is 0.0, and the grid returns them without running its 2L ~ 2e6 order
-    # steps (about 11 s before); the moment overflow then ends the call as it did
-    res = subprocess.run([sys.executable, "-m", "fhpt.cli", *args], capture_output=True, text=True, timeout=5)
-    assert (res.returncode, res.stdout) == (2, "")
-    assert res.stderr == f"numerical failure: integrand returned a non-finite value at node {node}\n"
+SUM_BOUND = "verify needs 2L <= 196.48, where bessel-sum-identity's reference I_2L(4) is a normal double"
+PAST_THE_RANGE = {
+    "resolution --nmax 2 --A 1e6":
+        "numerical failure: every K weight on [735498.7140741505, 20000045.0] is 0.0 at nu=1999999.0",
+    "verify --A 1e6": f"error: well strength A=1000000.0 gives 2L=1999999.0; {SUM_BOUND}",
+    "verify --A 150": f"error: well strength A=150.0 gives 2L=299.0; {SUM_BOUND}",
+}
+
+
+@pytest.mark.parametrize("command", list(PAST_THE_RANGE))
+def test_a_well_past_the_double_range_exits_two_at_once(command):
+    # every K weight of the 1e6 well is 0.0, and the grid finds that without running its 2L ~ 2e6 order
+    # steps (about 11 s once); verify rejects both wells up front, where bessel-sum-identity's term
+    # Gamma(n + 2L + 1) overflowed at 2L = 299, or its sum of all-zero terms never ended
+    argv = [sys.executable, "-m", "fhpt.cli", *command.split()]
+    res = subprocess.run(argv, capture_output=True, text=True, timeout=5)
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", f"{PAST_THE_RANGE[command]}\n")
 
 
 OUT_OF_RANGE = {
@@ -948,14 +955,12 @@ def test_out_of_range_inputs_exit_two(command, capsys):
      "resolution --quad-order 1 --A 42.9288 --nmax 10"],
 )
 def test_moment_overflow_ends_in_one_stderr_line(command, capsys):
-    # r^degree overflows on the upper panels; numpy's own warning, with a source path, used to come first.
-    # In the last case one moment overflows only at its upper tail probe r = r_max, where K has underflowed
-    # to 0, before a later one overflows on a node
-    assert main(command.split()) == 2
+    # the raw powers r^degree overflowed here on the upper panels, and the call ended in one stderr line.
+    # Each row is now normalized in the row and evaluated only where K is not 0.0, so every case exits 0
+    # without a warning (pytest turns one into an error)
+    assert main(command.split()) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("numerical failure: integrand returned a non-finite value at node ")
-    assert captured.err.count("\n") == 1
+    assert captured.out and "numerical failure" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify --nmax 2 --quad-order 40"])

@@ -16,7 +16,7 @@ from fhpt.coherent import (
     radial_weight_moment,
     resolution_of_identity_check,
 )
-from fhpt.errors import DomainError, IntegrationError
+from fhpt.errors import DomainError
 from fhpt.model import PotentialParams
 from fhpt.quadrature import default_r_max, gauss_legendre
 
@@ -226,12 +226,21 @@ def test_resolution_rejects_sequences_of_two_lengths():
         resolution_of_identity_check([0, 1], [0], PotentialParams(A=2.0), rule=gauss_legendre(20), r_max=30.0)
 
 
-def test_resolution_past_the_overflow_wall_raises_without_a_warning():
-    # at 2L = 199 the moment r^200 overflows on the upper panels; pytest turns a stray
-    # RuntimeWarning into an error, so this passes only when the node check speaks alone
+def test_resolution_past_the_former_overflow_wall_is_finite_without_a_warning():
+    # at 2L = 199 the raw moment r^200 overflowed on the upper panels; the row normalized in the row stays
+    # finite wherever K(2r) is not 0.0.  pytest turns a stray RuntimeWarning into an error.  The value is off
+    # by 9.5e-4, as below the lower mesh edge e_nu the integrand is only a probed power law
     p = PotentialParams(A=100.0)
-    with pytest.raises(IntegrationError, match="integrand returned a non-finite value at node "):
-        resolution_of_identity_check(0, 0, p, rule=gauss_legendre(200), r_max=_level_r_max(0, p))
+    value = resolution_of_identity_check(0, 0, p, rule=gauss_legendre(200), r_max=_level_r_max(0, p))
+    assert abs(value - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("A", (0.65, 2.0, 21.0))
+def test_resolution_reaches_rounding_at_the_top_level(A):
+    # levels 0..99 on the cutoff of level 99; the raw powers overflowed from about level 50 on
+    p = PotentialParams(A=A)
+    values = resolution_of_identity_check(range(100), range(100), p, rule=gauss_legendre(200), r_max=_level_r_max(99, p))
+    assert np.max(np.abs(values - 1.0)) < 5e-13
 
 
 def test_resolution_rejects_bad_levels():

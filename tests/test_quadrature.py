@@ -155,6 +155,19 @@ def test_k_weighted_upper_probe_with_underflowed_weight_contributes_zero():
     assert got == integrate_semi_infinite_k_weight(np.ones_like, 0.5, r_max=400.0, rule=rule)
 
 
+def test_nodes_whose_k_weight_is_zero_are_not_evaluated():
+    # K_0.5(2 r) is 0.0 past r ~ 373, so an integrand that is infinite only past r = 380 adds nothing there
+    rule = gauss_legendre(200)
+    got = integrate_semi_infinite_k_weight(lambda r: np.where(r > 380.0, np.inf, 1.0), 0.5, r_max=1000.0, rule=rule)
+    assert got == integrate_semi_infinite_k_weight(np.ones_like, 0.5, r_max=1000.0, rule=rule)
+
+
+def test_a_mesh_with_no_live_node_raises():
+    # at 2L = 2e6 every K weight on [e_nu, r_max] underflows; nothing is left to integrate
+    with pytest.raises(IntegrationError, match=r"^every K weight on \[.+, 20000000.0\] is 0.0 at nu=2000000.0$"):
+        integrate_semi_infinite_k_weight(np.ones_like, 2e6, r_max=2e7, rule=gauss_legendre(20))
+
+
 def test_k_grid_cache_is_bounded():
     rule = gauss_legendre(20)
     for k in range(40):
@@ -175,9 +188,11 @@ def test_k_grid_matches_per_panel_assembly(nu, lo, hi, n_panels):
     panels = list(zip(edges[:-1], edges[1:]))
     ref_nodes = np.concatenate([0.5 * (l + h) + 0.5 * (h - l) * rule.nodes for l, h in panels])
     ref_weights = np.concatenate([0.5 * (h - l) * rule.weights for l, h in panels])
+    ref_wk = ref_weights * _bessel_k_array(nu, 2.0 * ref_nodes)
+    live = ref_wk > 0.0  # all but the 560 nodes of the 45.0 case past r ~ 371, where K_45(2 r) underflows
     nodes, wk = _k_weighted_grid(nu, lo, hi, n_panels, rule)
-    assert np.array_equal(nodes, ref_nodes)
-    assert np.array_equal(wk, ref_weights * _bessel_k_array(nu, 2.0 * ref_nodes))
+    assert np.array_equal(nodes, ref_nodes[live])
+    assert np.array_equal(wk, ref_wk[live])
 
 
 @pytest.mark.parametrize("nu", [0.3, 3.0])
