@@ -19,12 +19,11 @@ and the Casimir constant L^2 - 1/4.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_int
+from .errors import _check_int, _check_ints
 from .model import PotentialParams, _as_list, _grid_rows, _one_or_rows, _poly_derivatives
 
 __all__ = [
@@ -46,15 +45,16 @@ class LadderCoefficients:
     gamma0: float
 
 
+def _eigenvalues(k, L: float):
+    # raise_eig, lower_eig and gamma0 of levels k (a float or an array), the one place they are formed; lower_eig(0)
+    # is sqrt(0.0), exactly 0.0
+    return np.sqrt((k + 1.0) * (k + 2.0 * L + 1.0)), np.sqrt(k * (k + 2.0 * L)), k + L + 0.5
+
+
 def ladder_coefficients(n: int, L: float) -> LadderCoefficients:
     _check_int("level index", n, 0)
-    return LadderCoefficients(
-        n=int(n),
-        L=L,
-        raise_eig=math.sqrt((n + 1.0) * (n + 2.0 * L + 1.0)),
-        lower_eig=math.sqrt(n * (n + 2.0 * L)) if n > 0 else 0.0,
-        gamma0=n + L + 0.5,
-    )
+    raise_eig, lower_eig, gamma0 = map(float, _eigenvalues(float(n), L))
+    return LadderCoefficients(int(n), L, raise_eig, lower_eig, gamma0)
 
 
 def _bracket(raising: bool, k, step: int, L: float, y, rows) -> list:
@@ -110,11 +110,13 @@ def commutator_residual(n, params: PotentialParams, grid=None) -> float | np.nda
     L = params.L
     (up_down,) = _bracket(False, k, 1, L, y, _bracket(True, k, 0, L, y, (u, du, d2u)))
     (down_up,) = _bracket(True, k, -1, L, y, _bracket(False, k, 0, L, y, (u, du, d2u)))
-    resid = cq ** (L + 0.5) * (up_down - down_up - 2.0 * (k + L + 0.5) * u)
+    resid = cq ** (L + 0.5) * (up_down - down_up - 2.0 * _eigenvalues(k, L)[2] * u)
     return _one_or_rows(one, np.max(np.abs(resid), axis=1) / np.max(np.abs(psi), axis=1))
 
 
-def casimir_eigenvalue(n: int, params: PotentialParams) -> float:
-    """gamma0^2 - (raise_eig^2 + lower_eig^2) / 2 at level n; constant L^2 - 1/4."""
-    lc = ladder_coefficients(n, params.L)
-    return lc.gamma0**2 - 0.5 * (lc.raise_eig**2 + lc.lower_eig**2)
+def casimir_eigenvalue(n, params: PotentialParams) -> float | np.ndarray:
+    """gamma0^2 - (raise_eig^2 + lower_eig^2) / 2 at level n, one per level of a sequence; constant L^2 - 1/4."""
+    levels, one = _as_list(n)
+    _check_ints("level index", levels, 0)
+    up, down, g0 = _eigenvalues(np.array(levels, dtype=float), params.L)
+    return _one_or_rows(one, g0**2 - 0.5 * (up**2 + down**2))

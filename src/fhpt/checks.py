@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .algebra import apply_lowering, apply_raising, casimir_eigenvalue, commutator_residual
+from .algebra import _eigenvalues, apply_lowering, apply_raising, casimir_eigenvalue, commutator_residual
 from .coherent import build_coherent_state, lowering_eigenstate_residual, resolution_of_identity_check
 from .errors import DomainError, _check_int
 from .model import _MAX_LEVEL, PotentialParams, _grid_rows, _levels_on, momentum_level, overlap, residual_ode
@@ -137,9 +137,9 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     _, _, _, psi, *_ = grid
     up = apply_raising(states)(y, (u, du))
     dn = apply_lowering(states)(y, (u, du))
-    n = np.arange(config.nmax + 1.0)[:, None]  # raise_eig and lower_eig as algebra.ladder_coefficients forms them
-    target_up = np.sqrt((n + 1.0) * (n + 2.0 * L + 1.0)) * psi[1:]
-    target_dn = np.sqrt(n[1:] * (n[1:] + 2.0 * L)) * psi[:-2]
+    raise_eig, lower_eig, g0 = _eigenvalues(np.arange(config.nmax + 1.0)[:, None], L)
+    target_up = raise_eig * psi[1:]
+    target_dn = lower_eig[1:] * psi[:-2]
     worst_up = (np.max(np.abs(up - target_up), axis=1) / np.max(np.abs(target_up), axis=1)).max(initial=0.0)
     worst_dn = (np.max(np.abs(dn[1:] - target_dn), axis=1) / np.max(np.abs(target_dn), axis=1)).max(initial=0.0)
     checks.append(_result("ladder-raising", "raising-eigenvalue", worst_up, 1e-9, ov))
@@ -150,8 +150,8 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     checks.append(_result("commutator", "ladder-commutator", r, 1e-9, ov))
     del grid, rows, psi, u, du  # release the shared rows before the coherent states are built
 
-    cas = L * L - 0.25
-    r = max(abs(casimir_eigenvalue(n, config) - cas) for n in range(21))
+    # relative to gamma0^2, the size of the terms the Casimir value is a difference of
+    r = np.max(np.abs(casimir_eigenvalue(levels, config) - (L * L - 0.25)) / g0[:, 0] ** 2)
     checks.append(_result("casimir-constancy", "casimir-invariant", r, 1e-12, ov))
 
     # coherent states, each label built once: the first three are normalized

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .algebra import _eigenvalues
 from .checks import CheckConfig, run_checks
 from .coherent import (
     build_coherent_state, general_expectation, lowering_eigenstate_residual, resolution_of_identity_check
@@ -226,7 +227,7 @@ def _cmd_expect(args: argparse.Namespace) -> int:
     L = params.L
 
     def raising_element(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return np.where(i == j + 1, np.sqrt((j + 1.0) * (j + 2.0 * L + 1.0)), 0.0)
+        return np.where(i == j + 1, _eigenvalues(j, L)[0], 0.0)
 
     raising_mean = general_expectation(cs, raising_element)
     rows = [

@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from .algebra import _eigenvalues
 from .errors import ConvergenceError, DomainError, _check_ints
 from .model import _MAX_LEVEL, PotentialParams, _as_list, _one_or_rows
 from .quadrature import QuadratureRule, integrate_semi_infinite_k_weight
@@ -79,14 +80,11 @@ def build_coherent_state(z: complex, params: PotentialParams, tail_tol: float = 
     theta = cmath.phase(z)
     norm = bessel_i(2.0 * L, 2.0 * r)
     if norm >= sys.float_info.min:
-        log_norm = math.log(norm)
+        log_c0 = L * math.log(r) - 0.5 * (math.log(norm) + math.lgamma(2.0 * L + 1.0))
     else:
-        # I_(2L)(2r) lies below the normal double range (large L, small r):
-        # its log is that of the series' leading term plus that of the sum
-        # scaled by it, which stays representable
-        log_t0, scaled = _bessel_i_series(2.0 * L, 2.0 * r)
-        log_norm = log_t0 + math.log(scaled)
-    log_c0 = L * math.log(r) - 0.5 * (log_norm + math.lgamma(2.0 * L + 1.0))
+        # I_(2L)(2r) lies below the normal double range (large L, small r): c_0^2 = t0 / I = 1 / S exactly, with S
+        # the series summed relative to its leading term t0 = r^(2L) / Gamma(2L + 1), so no terms of size L ln L cancel
+        log_c0 = -0.5 * math.log(_bessel_i_series(2.0 * L, 2.0 * r)[1])
 
     log_mags = [log_c0]
     n = 0
@@ -94,6 +92,8 @@ def build_coherent_state(z: complex, params: PotentialParams, tail_tol: float = 
         n += 1
         if n > _MAX_TERMS:
             raise ConvergenceError("coherent coefficient vector failed to converge")
+        # lower_eig(n) inline, not algebra's kernel: one scalar per term of a Python loop, and lowering-eigenstate
+        # compares this builder against the kernel, so the two must not share it
         ratio = r / math.sqrt(n * (n + 2.0 * L))
         # a ratio below the normal range has lost digits, and at 0.0 its log fails: take it as a difference
         log_ratio = math.log(ratio) if ratio >= sys.float_info.min else math.log(r) - 0.5 * math.log(n * (n + 2.0 * L))
@@ -112,16 +112,13 @@ def build_coherent_state(z: complex, params: PotentialParams, tail_tol: float = 
 def lowering_eigenstate_residual(cs: CoherentState) -> float:
     """l2 residual of the annihilation eigenrelation over the kept levels.
 
-    Component n compares sqrt((n+1)(n+1+2L)) c_(n+1) against z c_n for
+    Component n compares raise_eig(n) c_(n+1) against z c_n for
     n < N.  The index-N component of the difference is pure truncation,
     already bounded by tail_bound, and is not double counted here.
     """
     c = cs.coeffs
-    if len(c) < 2:
-        return 0.0
-    n = np.arange(len(c) - 1)
-    eig = np.sqrt((n + 1.0) * (n + 1.0 + 2.0 * cs.L))
-    resid = eig * c[1:] - cs.z * c[:-1]
+    raise_eig = _eigenvalues(np.arange(len(c) - 1.0), cs.L)[0]
+    resid = raise_eig * c[1:] - cs.z * c[:-1]
     return float(np.sqrt(np.sum(np.abs(resid) ** 2)))
 
 

@@ -34,6 +34,18 @@ def test_ladder_coefficients_values():
         ladder_coefficients(-1, 1.5)
 
 
+@pytest.mark.parametrize("A", (0.55, 0.65, 2.0, 2.000025, 21.0, 98.7))
+def test_ladder_coefficients_keep_the_closed_forms_bit_for_bit(A):
+    # the eigenvalue kernel equals the closed forms bit for bit, each field a Python float, for a numpy level too
+    L = PotentialParams(A=A).L
+    for n in range(201):
+        want = (math.sqrt((n + 1.0) * (n + 2.0 * L + 1.0)), math.sqrt(n * (n + 2.0 * L)) if n > 0 else 0.0, n + L + 0.5)
+        for level in (n, np.int64(n)):
+            lc = ladder_coefficients(level, L)
+            got = (lc.raise_eig, lc.lower_eig, lc.gamma0)
+            assert got == want and all(type(v) is float for v in got) and type(lc.n) is int
+
+
 @pytest.mark.parametrize("A", A_GRID)
 def test_raising_matches_eigenvalue_relation(A):
     p = PotentialParams(A=A)
@@ -102,6 +114,24 @@ def test_casimir_is_constant_in_level():
         expect = p.L**2 - 0.25
         for n in range(21):
             assert casimir_eigenvalue(n, p) == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("A", (0.65, 2.0, 21.0, 60.9, 98.7))
+def test_casimir_is_constant_relative_to_gamma0_squared(A):
+    # the value is a difference of terms of size gamma0^2, so rounding alone moves it by about 1e-16 of that
+    p = PotentialParams(A=A)
+    n = np.arange(100.0)
+    assert np.max(np.abs(casimir_eigenvalue(range(100), p) - (p.L**2 - 0.25)) / (n + p.L + 0.5) ** 2) <= 1e-15
+
+
+def test_casimir_on_a_level_sequence_equals_per_level_calls():
+    p = PotentialParams(A=3.7)
+    got = casimir_eigenvalue(range(101), p)
+    assert isinstance(got, np.ndarray) and got.tolist() == [casimir_eigenvalue(n, p) for n in range(101)]
+    assert type(casimir_eigenvalue(np.int64(4), p)) is float and casimir_eigenvalue([], p).shape == (0,)
+    for bad in (True, 2.0, -1, [0, 1.0], [3, -1], (False,)):
+        with pytest.raises(DomainError):
+            casimir_eigenvalue(bad, p)
 
 
 def test_casimir_frozen_value():

@@ -54,6 +54,22 @@ def test_smallest_level_budgets_pass(nmax):
     assert (got["ladder-lowering"] == 0.0) == (nmax == 0)
 
 
+@pytest.mark.parametrize("A", (0.65, 2.0, 21.0, 60.9, 98.7))
+def test_casimir_constancy_covers_every_level_to_nmax(A):
+    # levels 0..99, relative to gamma0^2: the Casimir value is a difference of terms of that size, so an
+    # absolute residual fails on rounding alone at large wells
+    got = {c.name: c for c in run_checks(CheckConfig(A=A, nmax=99)).checks}
+    assert got["casimir-constancy"].passed and got["casimir-constancy"].residual <= 1e-15
+
+
+@pytest.mark.parametrize("A, failing", [(60.9, {"radial-closed-form"}),
+                                        (98.7, {"identity-resolution", "radial-closed-form"})])
+def test_large_wells_fail_only_at_the_k_mesh_edge(A, failing):
+    # the scaled Casimir residual passes here; what fails is the power-law lower tail of the K mesh
+    report = run_checks(CheckConfig(A=A))
+    assert {c.name for c in report.checks if not c.passed} == failing
+
+
 def test_run_at_a_fast_time_scale_passes():
     # the ODE residual is relative to the c1^2 scale of the equation, so a correct well passes at c1 = 100
     assert run_checks(CheckConfig(c1=100.0)).passed

@@ -385,7 +385,7 @@ ladder-raising,raising-eigenvalue,6.28105951478208e-15,1e-09,true
 ladder-lowering,lowering-eigenvalue,4.790373851568977e-15,1e-09,true
 ground-annihilation,lowering-kills-ground,0.0,1e-10,true
 commutator,ladder-commutator,9.239143561501516e-14,1e-09,true
-casimir-constancy,casimir-invariant,7.105427357601002e-15,1e-12,true
+casimir-constancy,casimir-invariant,1.9737298215558337e-16,1e-12,true
 coherent-normalization,unit-weight-sum,6.428191312579656e-14,1e-12,true
 lowering-eigenstate,annihilation-eigenrelation,4.628570439118569e-16,1e-10,true
 identity-resolution,label-plane-completeness,3.9968028886505635e-15,1e-07,true
@@ -468,7 +468,7 @@ bessel-sum-identity,weight-series-resummation,2.0063093773401714e-15,1e-12,true
     {
       "name": "casimir-constancy",
       "identity": "casimir-invariant",
-      "residual": 7.105427357601002e-15,
+      "residual": 1.9737298215558337e-16,
       "tol": 1e-12,
       "pass": true
     },
@@ -550,7 +550,7 @@ ladder-raising,raising-eigenvalue,2.422738085566759e-15,1e-09,true
 ladder-lowering,lowering-eigenvalue,2.1388737767943983e-15,1e-09,true
 ground-annihilation,lowering-kills-ground,0.0,1e-10,true
 commutator,ladder-commutator,2.589756750642814e-14,1e-09,true
-casimir-constancy,casimir-invariant,6.394884621840902e-14,1e-12,true
+casimir-constancy,casimir-invariant,1.5828530535979064e-16,1e-12,true
 coherent-normalization,unit-weight-sum,6.661338147750939e-16,1e-12,true
 lowering-eigenstate,annihilation-eigenrelation,5.939536886830383e-16,1e-10,true
 identity-resolution,label-plane-completeness,3.3306690738754696e-15,1e-07,true
@@ -633,7 +633,7 @@ bessel-sum-identity,weight-series-resummation,2.0063093773401714e-15,1e-12,true
     {
       "name": "casimir-constancy",
       "identity": "casimir-invariant",
-      "residual": 6.394884621840902e-14,
+      "residual": 1.5828530535979064e-16,
       "tol": 1e-12,
       "pass": true
     },
@@ -1204,6 +1204,15 @@ def test_expect_at_large_well_strength():
     rows = {name: value for name, value in json.loads(res.stdout)["rows"]}
     assert rows["weight_sum"] == pytest.approx(1.0, abs=1e-12)
     assert rows["raising_mean_re"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_expect_where_the_normalizer_underflows_sums_to_one(capsys):
+    # I_2L(6) at A = 1e12 is far below the double range, where the ground coefficient is S^(-1/2): no terms of
+    # size 2L ln 2L cancel in it
+    assert main(["expect", "--A", "1e12", "--z", "3", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    rows = {name: value for name, value in out["rows"]}
+    assert abs(1.0 - rows["weight_sum"]) <= out["summary"]["tail_bound"] + 1e-13
 
 
 def test_verify_and_resolution_past_the_fixed_k_mesh_edge():

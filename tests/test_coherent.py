@@ -3,6 +3,7 @@ annihilation eigenrelation, expectations, and label-plane completeness."""
 
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from fhpt.coherent import (
 from fhpt.errors import DomainError
 from fhpt.model import PotentialParams
 from fhpt.quadrature import default_r_max, gauss_legendre
+from fhpt.special import bessel_i
 
 mpmath.mp.dps = 50
 
@@ -179,6 +181,18 @@ def test_build_rejects_bad_input():
         build_coherent_state(1.0, p, tail_tol=0.0)
     with pytest.raises(OverflowError):
         build_coherent_state(400.0, p)
+
+
+@pytest.mark.parametrize("A", (1e4, 1e6, 1e8, 1e12))
+def test_ground_coefficient_below_the_normal_range_matches_mpmath(A):
+    # where I_2L(2|z|) is below DBL_MIN, c_0 = S^(-1/2) with S the series scaled by its leading term, and
+    # c_0^2 = |z|^(2L) / (Gamma(2L + 1) I_2L(2|z|)) = 1 / 0F1(; 2L + 1; |z|^2) (DLMF 10.25.2)
+    p = PotentialParams(A=A)
+    for r in (0.5, 3.0, 50.0, 300.0):
+        assert bessel_i(2.0 * p.L, 2.0 * r) < sys.float_info.min
+        c0 = abs(build_coherent_state(r, p).coeffs[0])
+        ref = 1 / mpmath.sqrt(mpmath.hyp0f1(2 * mpmath.mpf(p.L) + 1, mpmath.mpf(r) ** 2))
+        assert abs(c0 - ref) <= 1e-13 * ref
 
 
 def test_radial_moment_closed_form_guard():
