@@ -225,11 +225,7 @@ def _cmd_expect(args: argparse.Namespace) -> int:
     var_level = float(np.dot(weights, ns * ns)) - mean_level**2
     momenta = momentum_level(range(len(weights)), params)
     L = params.L
-
-    def raising_element(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return np.where(i == j + 1, _eigenvalues(j, L)[0], 0.0)
-
-    raising_mean = general_expectation(cs, raising_element)
+    raising_mean = general_expectation(cs, lambda i, j: _eigenvalues(j, L)[0], (1,))  # K+ has one diagonal
     rows = [
         ["level_mean", mean_level],
         ["level_variance", var_level],

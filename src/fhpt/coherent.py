@@ -20,7 +20,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -40,8 +40,6 @@ __all__ = [
 ]
 
 _MAX_TERMS = 200_000
-# matrix elements per general_expectation block, whose complex temporaries then stay near 0.3 MB
-_BLOCK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,23 +120,24 @@ def lowering_eigenstate_residual(cs: CoherentState) -> float:
     return float(np.sqrt(np.sum(np.abs(resid) ** 2)))
 
 
-def general_expectation(cs: CoherentState, element: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> complex:
-    """Expectation <c|E|c> of an operator given by its matrix elements.
+def general_expectation(
+    cs: CoherentState, element: Callable[[np.ndarray, np.ndarray], np.ndarray], offsets: Iterable[int]
+) -> complex:
+    """Expectation <c|E|c> of an operator given by its nonzero diagonals.
 
-    element(i, j) is called the way np.fromfunction calls its function, once
-    per block of rows: i is a column of row indices, j a row of every column
-    index (both integer arrays), and it returns E[i, j] broadcastable to their
-    shape.  A block holds at most _BLOCK_ELEMENTS elements, and at least one
-    whole row.
+    For each k in offsets, element(i, j) is called once, with j the kept levels on
+    diagonal k and i = j + k (integer arrays of one shape), and returns E[i, j] there,
+    so the cost is O(N len(offsets)).  A dense operator is the diagonals range(1 - N, N).
     """
+    ks = list(offsets)
+    if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in ks) or len(set(ks)) != len(ks):
+        raise DomainError(f"offsets must be distinct integers, got {offsets!r}")
     c = cs.coeffs
-    n = len(c)
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    j = np.arange(n)[None, :]
     total = 0.0 + 0.0j
-    for start in range(0, n, rows):
-        i = np.arange(start, min(start + rows, n))[:, None]
-        total += np.sum(np.conj(c[start : start + rows, None]) * element(i, j) * c)
+    for k in ks:
+        j = np.arange(max(0, -k), len(c) - max(0, k))
+        i = j + k
+        total += np.sum(np.conj(c[i]) * element(i, j) * c[j])
     return complex(total)
 
 

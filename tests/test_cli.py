@@ -164,7 +164,7 @@ level_variance,0.08140929950066074
 gamma0_mean,3.0823614573691342
 momentum_mean,9.582361452831735
 raising_mean_re,0.49999999600630013
-raising_mean_im,-0.4999999960063001
+raising_mean_im,-0.49999999600630013
 weight_sum,0.9999999999395892
 # truncation_level=5
 # tail_bound=8.00705979274831e-11
@@ -331,7 +331,7 @@ weight_sum,0.9999999999395892
     ],
     [
       "raising_mean_im",
-      -0.4999999960063001
+      -0.49999999600630013
     ],
     [
       "weight_sum",

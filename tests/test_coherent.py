@@ -9,7 +9,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from fhpt import coherent
 from fhpt.coherent import (
     build_coherent_state,
     general_expectation,
@@ -108,33 +107,25 @@ def test_weight_operator_mean_at_origin():
     assert got == p.L + 0.5
 
 
-def _ladder_elements(L):
-    # the matrix elements of K+ and K- as array callables
-    def raising(i, j):
-        return np.where(i == j + 1, np.sqrt((j + 1.0) * (j + 2.0 * L + 1.0)), 0.0)
-
-    def lowering(i, j):
-        return np.where(i == j - 1, np.sqrt(j * (j + 2.0 * L)), 0.0)
-
-    return raising, lowering
+def _assert_ladder_means(A, z):
+    # K+ on diagonal 1 and K- on diagonal -1; the ratio recurrence c_(j+1) sqrt((j + 1)(j + 2L + 1)) = z c_j makes
+    # them conj(z) s and z s, with s the weight of every kept level but the top one
+    p = PotentialParams(A=A)
+    cs = build_coherent_state(z, p)
+    s = cs.norm_sq - abs(cs.coeffs[-1]) ** 2
+    raising = general_expectation(cs, lambda i, j: np.sqrt((j + 1.0) * (j + 2.0 * p.L + 1.0)), (1,))
+    lowering = general_expectation(cs, lambda i, j: np.sqrt(j * (j + 2.0 * p.L)), (-1,))
+    assert abs(raising - z.conjugate() * s) <= 1e-13 * abs(z)
+    assert abs(lowering - z * s) <= 1e-13 * abs(z)
 
 
 def test_raising_and_lowering_means():
-    p = PotentialParams(A=2.0)
-    z = 2.0 + 1.0j
-    cs = build_coherent_state(z, p)
-    raising, lowering = _ladder_elements(p.L)
-    assert general_expectation(cs, raising) == pytest.approx(z.conjugate(), rel=1e-10)
-    assert general_expectation(cs, lowering) == pytest.approx(z, rel=1e-10)
+    for A, z in ((2.0, 2.0 + 1.0j), (0.55, 0.3j), (21.0, 40.0 - 7.0j)):
+        _assert_ladder_means(A, z)
 
 
 def test_ladder_means_at_large_label():
-    p = PotentialParams(A=3.3)
-    z = cmath.rect(350.0, 0.7)
-    cs = build_coherent_state(z, p)
-    raising, lowering = _ladder_elements(p.L)
-    assert general_expectation(cs, raising) == pytest.approx(z.conjugate(), rel=1e-12)
-    assert general_expectation(cs, lowering) == pytest.approx(z, rel=1e-12)
+    _assert_ladder_means(3.3, cmath.rect(350.0, 0.7))
 
 
 def test_dense_operator_matches_the_full_quadratic_form():
@@ -144,26 +135,46 @@ def test_dense_operator_matches_the_full_quadratic_form():
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = b @ b.conj().T / n  # Hermitian and positive, so the mean does not cancel toward 0
     want = np.conj(cs.coeffs) @ m @ cs.coeffs
-    got = general_expectation(cs, lambda i, j: m[i, j])
+    got = general_expectation(cs, lambda i, j: m[i, j], range(1 - n, n))
     assert abs(got - want) <= 1e-12 * abs(want)
     assert abs(got.imag) <= 1e-12 * got.real
 
 
-def test_element_calls_stay_within_the_block_budget():
+def test_element_is_called_once_per_diagonal():
     cs = build_coherent_state(350.0, PotentialParams(A=2.0))
-    n = len(cs.coeffs)
+    c = cs.coeffs
+    n = len(c)
+    offsets = (0, 2, -3, 1)
     seen = []
 
     def element(i, j):
-        assert i.dtype.kind == j.dtype.kind == "i"
-        shape = np.broadcast_shapes(i.shape, j.shape)
-        assert shape[1] == n and shape[0] * n <= coherent._BLOCK_ELEMENTS
-        seen.extend(i.ravel().tolist())
-        return np.ones(shape)
+        assert i.dtype.kind == j.dtype.kind == "i" and i.shape == j.shape
+        seen.append((i.copy(), j.copy()))
+        return np.ones(i.shape)
 
-    # every row once, in order; the all-ones operator gives |sum c|^2
-    assert general_expectation(cs, element) == pytest.approx(abs(np.sum(cs.coeffs)) ** 2, rel=1e-12)
-    assert seen == list(range(n))
+    got = general_expectation(cs, element, offsets)
+    assert len(seen) == len(offsets)
+    for k, (i, j) in zip(offsets, seen):
+        assert np.array_equal(j, np.arange(max(0, -k), n - max(0, k))) and np.array_equal(i, j + k)
+    # the all-ones operator on those diagonals: the sum of conj(c_i) c_j over each diagonal's pairs
+    outer = np.outer(np.conj(c), c)
+    assert got == pytest.approx(sum(np.sum(np.diagonal(outer, -k)) for k in offsets), rel=1e-12)
+
+
+def test_zero_label_has_no_ladder_mean():
+    # the one-level state has no pair on either off-diagonal, as `expect --z 0` prints raising_mean_re,0.0
+    cs = build_coherent_state(0.0, PotentialParams(A=2.0))
+    for k in (1, -1):
+        got = general_expectation(cs, lambda i, j: np.ones(i.shape), (k,))
+        assert got == 0j and type(got) is complex
+
+
+@pytest.mark.parametrize("offsets", ((True,), (1.0,), (1, 1), (0, np.int64(0))))
+def test_offsets_must_be_distinct_integers(offsets):
+    # a repeated offset would add its diagonal twice
+    cs = build_coherent_state(1.0, PotentialParams(A=2.0))
+    with pytest.raises(DomainError):
+        general_expectation(cs, lambda i, j: np.ones(i.shape), offsets)
 
 
 def test_determinism():
