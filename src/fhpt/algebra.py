@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _check_int, _check_ints
-from .model import PotentialParams, _as_list, _grid_rows, _one_or_rows, _poly_derivatives
+from .model import PotentialParams, _as_list, _grid_rows, _one_or_rows, _poly_derivatives, _well
 
 __all__ = [
     "LadderCoefficients",
@@ -79,8 +79,9 @@ def _ladder_image(states, y, rows, raising: bool) -> np.ndarray | float:
         scale, raw = _poly_derivatives(sts, yv, 1)
         rows = [scale * r for r in raw]
     k = np.array([s.n for s in sts]).reshape((-1,) + (1,) * yv.ndim)
-    (bracket,) = _bracket(raising, k, 0, sts[0].L, yv, rows)
-    return _one_or_rows(one, (1.0 - yv * yv) ** (0.5 * sts[0].lam) * bracket, y)
+    L, lam = _well(sts)
+    (bracket,) = _bracket(raising, k, 0, L, yv, rows)
+    return _one_or_rows(one, (1.0 - yv * yv) ** (0.5 * lam) * bracket, y)
 
 
 def apply_raising(states):
@@ -101,13 +102,11 @@ def commutator_residual(n, params: PotentialParams, grid=None) -> float | np.nda
     map acts on them with the level-shifted prefactor.  The result is compared
     to 2 (n + L + 1/2) psi_n on the 401 tau points of residual_ode; returns the
     max deviation scaled by max |psi_n|, or one such residual per level for a
-    sequence of levels.  grid, if given, must be the rows that _grid_rows
-    returns for the same levels and well.
+    sequence of levels.  grid is checked as residual_ode checks it.
     """
     levels, one = _as_list(n)
-    states, y, cq, psi, u, du, d2u = _grid_rows(levels, params) if grid is None else grid
-    k = np.array([s.n for s in states])[:, None]
-    L = params.L
+    states, y, cq, psi, u, du, d2u = _grid_rows(levels, params, grid)
+    k, L = np.array([s.n for s in states])[:, None], params.L
     (up_down,) = _bracket(False, k, 1, L, y, _bracket(True, k, 0, L, y, (u, du, d2u)))
     (down_up,) = _bracket(True, k, -1, L, y, _bracket(False, k, 0, L, y, (u, du, d2u)))
     resid = cq ** (L + 0.5) * (up_down - down_up - 2.0 * _eigenvalues(k, L)[2] * u)

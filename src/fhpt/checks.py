@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import _eigenvalues, apply_lowering, apply_raising, casimir_eigenvalue, commutator_residual
 from .coherent import build_coherent_state, lowering_eigenstate_residual, resolution_of_identity_check
 from .errors import DomainError, _check_int
-from .model import _MAX_LEVEL, PotentialParams, _grid_rows, _levels_on, momentum_level, overlap, residual_ode
+from .model import _MAX_LEVEL, PotentialParams, _grid_rows, momentum_level, overlap, residual_ode
 from .quadrature import _MAX_ORDER, default_r_max, gauss_legendre
 from .special import bessel_i, bessel_k
 
@@ -109,13 +109,12 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     L = config.L
     checks: list[CheckResult] = []
 
-    # one 401-point grid of levels 0..nmax + 1 serves the ODE, ladder and commutator checks; rows is its 0..nmax
-    levels = range(config.nmax + 1)
-    grid = _grid_rows(range(config.nmax + 2), config)
-    rows = _levels_on(grid)
+    # one 401-point grid of levels 0..nmax + 1 serves the ODE, ladder and commutator checks; each keeps rows 0..nmax
+    levels, shared = range(config.nmax + 1), range(config.nmax + 2)
+    grid = _grid_rows(shared, config)
 
     # master equation residual over every level
-    r = residual_ode(levels, config, grid=rows).max()
+    r = residual_ode(shared, config, grid=grid)[:-1].max()
     checks.append(_result("ode-residual", "secant-well-equation", r, 1e-9, ov))
 
     # squared-integer spectrum at unit well strength in natural units
@@ -133,10 +132,9 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
 
     # ladder maps against their eigenvalue relations, with targets from levels
     # 0..nmax + 1; row 0 of the lowering images is the ground level's
-    states, y, _, _, u, du, _ = rows
-    _, _, _, psi, *_ = grid
-    up = apply_raising(states)(y, (u, du))
-    dn = apply_lowering(states)(y, (u, du))
+    states, y, _, psi, u, du, _ = grid
+    up = apply_raising(states)(y, (u, du))[:-1]
+    dn = apply_lowering(states)(y, (u, du))[:-1]
     raise_eig, lower_eig, g0 = _eigenvalues(np.arange(config.nmax + 1.0)[:, None], L)
     target_up = raise_eig * psi[1:]
     target_dn = lower_eig[1:] * psi[:-2]
@@ -146,9 +144,9 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     checks.append(_result("ladder-lowering", "lowering-eigenvalue", worst_dn, 1e-9, ov))
     checks.append(_result("ground-annihilation", "lowering-kills-ground", np.max(np.abs(dn[0])), 1e-10, ov))
 
-    r = commutator_residual(levels, config, grid=rows).max()
+    r = commutator_residual(shared, config, grid=grid)[:-1].max()
     checks.append(_result("commutator", "ladder-commutator", r, 1e-9, ov))
-    del grid, rows, psi, u, du  # release the shared rows before the coherent states are built
+    del grid, psi, u, du  # release the shared rows before the coherent states are built
 
     # relative to gamma0^2, the size of the terms the Casimir value is a difference of
     r = np.max(np.abs(casimir_eigenvalue(levels, config) - (L * L - 0.25)) / g0[:, 0] ** 2)

@@ -172,13 +172,18 @@ def _poly_derivatives(states: list[BasisState], y, order: int) -> tuple[np.ndarr
     # the column of state scales, and C_n^lam(y) with its first `order` y-derivatives, one row per state
     # of one well.  Each derivative shifts (n, lam) -> (n-1, lam+1) (DLMF 18.9.19) and is one recurrence
     # over every state; a negative degree evaluates to exact zeros
-    lam = states[0].lam
-    if any(s.lam != lam for s in states):
-        raise DomainError("states must belong to one well")
+    _, lam = _well(states)
     ns = np.array([s.n for s in states], dtype=int)
     scale = np.array([s.scale for s in states]).reshape((-1,) + (1,) * np.ndim(y))
     coefs = (1.0, 2.0 * lam, 4.0 * lam * (lam + 1.0))
     return scale, [coefs[j] * gegenbauer_value(ns - j, lam + j, y) for j in range(order + 1)]
+
+
+def _well(states) -> tuple[float, float]:
+    # L and lam of the one well a sequence of states belongs to; no states give no rows, so any well serves them
+    if any(s.lam != states[0].lam for s in states):
+        raise DomainError("states must belong to one well")
+    return (states[0].L, states[0].lam) if states else (0.0, 0.5)
 
 
 def _as_list(key) -> tuple[list, bool]:
@@ -200,23 +205,26 @@ def eval_state(states, tau) -> np.ndarray | float:
         raise DomainError("tau must lie strictly inside (-pi/2, pi/2)")
     sts, one = _as_list(states)
     scale, (c,) = _poly_derivatives(sts, np.sin(t), 0)
-    return _one_or_rows(one, scale * np.cos(t) ** sts[0].lam * c, tau)
+    return _one_or_rows(one, scale * np.cos(t) ** _well(sts)[1] * c, tau)
 
 
-def _grid_rows(levels, params: PotentialParams):
-    # a sequence of levels on 401 tau points 0.05 inside the interval ends: the basis states,
-    # y = sin(tau), cos(tau), psi, and scale * C_n^lam(y) with its first two y-derivatives, one row per level
+def _grid_rows(levels, params: PotentialParams, grid=None):
+    # a sequence of levels on 401 tau points 0.05 inside the interval ends, or the caller's grid once it holds them:
+    # the basis states, y = sin(tau), cos(tau), psi, and scale * C_n^lam(y) with its first two y-derivatives, by level
+    if grid is not None:
+        held, well = [s.n for s in grid[0]], [s.L for s in grid[0][:1]]
+        if held != levels or well not in ([], [params.L]):
+            raise DomainError(f"grid holds levels {held} of L={well}, not levels {levels} of L=[{params.L!r}]")
+        return grid
     tau = np.linspace(-0.5 * np.pi + 0.05, 0.5 * np.pi - 0.05, 401)
     states = [build_basis_state(k, params) for k in levels]
     y, cq = np.sin(tau), np.cos(tau)
     scale, (c, dc, d2c) = _poly_derivatives(states, y, 2)
     psi = scale * cq ** (params.L + 0.5) * c
+    dead = np.flatnonzero(~psi.any(axis=1))  # cos^lam underflows wherever C_n^lam is nonzero
+    if len(dead):
+        raise DomainError(f"level {states[dead[0]].n} of the well A={params.A!r} is 0.0 at every grid point")
     return states, y, cq, psi, scale * c, scale * dc, scale * d2c
-
-
-def _levels_on(grid):
-    # levels 0..nmax of a _grid_rows grid of levels 0..nmax + 1, bit for bit their own _grid_rows
-    return (grid[0][:-1], *(a if a.ndim == 1 else a[:-1] for a in grid[1:]))
 
 
 def residual_ode(n, params: PotentialParams, momentum: float | None = None, grid=None) -> float | np.ndarray:
@@ -229,10 +237,10 @@ def residual_ode(n, params: PotentialParams, momentum: float | None = None, grid
     residual into a detector for off-spectrum values.  The grid keeps a 0.05
     margin from the interval ends where sec^2 amplifies roundoff.  A sequence
     of levels gives one residual per level.  grid, if given, must be the rows
-    that _grid_rows returns for the same levels and well.
+    _grid_rows built for exactly these levels of this well (DomainError else).
     """
     levels, one = _as_list(n)
-    states, y, cq, psi, u, du, d2u = _grid_rows(levels, params) if grid is None else grid
+    states, y, cq, psi, u, du, d2u = _grid_rows(levels, params, grid)
     M, lam = params.mass_scale, params.L + 0.5
     # psi'' in tau via the chain rule on the envelope-times-polynomial form
     core = cq**lam * ((1.0 - y * y) * d2u - (2.0 * lam + 1.0) * y * du - lam * lam * u)

@@ -83,9 +83,9 @@ def default_r_max(poly_degree: float) -> float:
     return max(30.0, 5.0 + 10.0 * float(poly_degree))
 
 
-# a verify integrates several moments against each grid, so grids are cached
-# per (nu, geometry, rule); rules are cached per order, so a rule's identity
-# is a stable key, and 32 grids of 1,600 nodes (order 200) take about 0.8 MB
+# a verify makes one integrator call per grid, and a well verified again in the same
+# process reuses it: grids are cached per (nu, geometry, rule), and rules per order, so a
+# rule's identity is a stable key; 32 grids of 1,600 nodes (order 200) take about 0.8 MB
 @functools.lru_cache(maxsize=32)
 def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int, rule: QuadratureRule):
     edges = np.geomspace(lo, hi, n_panels + 1)

@@ -77,7 +77,7 @@ def gegenbauer_value(n, lam: float, y):
     monomial coefficients once n grows past ~15.
     """
     y = np.asarray(y, dtype=float)
-    degrees = np.asarray(n).astype(int, casting="safe")  # a float degree raises TypeError
+    degrees = np.asarray(n, dtype=None if np.size(n) else int).astype(int, casting="safe")  # a float degree: TypeError
     wanted = set(degrees.flat)
     found = {0: np.ones_like(y), 1: 2.0 * lam * y}
     prev, cur = found[0], found[1]

@@ -83,6 +83,11 @@ def test_level_ranged_images_equal_per_state_calls(A):
             assert np.array_equal(image, apply(st)(y))
     for st, psi in zip(states, eval_state(states, GRID_TAU)):
         assert np.array_equal(psi, eval_state(st, GRID_TAU))
+    # no states give no rows
+    for empty in ([], range(0)):
+        for at in (y, 0.3):
+            assert apply_raising(empty)(at).shape == apply_lowering(empty)(at).shape == (0,) + np.shape(at)
+        assert eval_state(empty, GRID_TAU).shape == (0, 401) and eval_state(empty, 0.3).shape == (0,)
 
 
 def test_ground_state_annihilated_exactly():

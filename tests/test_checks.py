@@ -4,15 +4,16 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from fhpt import checks, coherent, model, quadrature, special
-from fhpt.algebra import commutator_residual
+from fhpt.algebra import apply_lowering, apply_raising, commutator_residual
 from fhpt.checks import CheckConfig, run_checks
 from fhpt.errors import DomainError
-from fhpt.model import PotentialParams, _grid_rows, _levels_on, overlap, residual_ode
+from fhpt.model import PotentialParams, _grid_rows, build_basis_state, overlap, residual_ode
 from fhpt.quadrature import _k_weighted_grid, gauss_legendre
 
 EXPECTED_CHECKS = {
@@ -140,8 +141,9 @@ def test_level_ranged_residuals_equal_per_level_calls(A):
     p = PotentialParams(A=A)
     for residual in (residual_ode, commutator_residual):
         single = [residual(n, p) for n in range(100)]
-        for nmax in (0, 1, 10, 99):
-            assert np.array_equal(residual(range(nmax + 1), p), single[: nmax + 1])
+        for levels in ([], range(0), *(range(nmax + 1) for nmax in (0, 1, 10, 99))):
+            rows = residual(levels, p)
+            assert rows.shape == (len(levels),) and np.array_equal(rows, single[: len(levels)])
 
 
 def _record_calls(monkeypatch, name: str, source=special) -> list:
@@ -211,22 +213,45 @@ def test_default_run_builds_each_state_once(monkeypatch):
 
 
 @pytest.mark.parametrize("A", [0.65, 2.0, 21.0])
-def test_shared_grid_rows_equal_each_checks_own_rows(A):
-    # levels 0..nmax of the grid of 0..nmax + 1 that verify shares are those levels' own rows, bit for bit
-    p = PotentialParams(A=A)
-    shared, own = _levels_on(_grid_rows(range(12), p)), _grid_rows(range(11), p)
-    assert [vars(s) for s in shared[0]] == [vars(s) for s in own[0]]
-    for got, want in zip(shared[1:], own[1:]):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("A", [0.65, 2.0, 21.0])
 def test_residuals_on_the_shared_grid_equal_their_own(A):
+    # verify hands one grid of levels 0..nmax + 1 to every level check, and each keeps rows 0..nmax of its
+    # result: those equal each function's own call on 0..nmax, bit for bit
     p = PotentialParams(A=A)
-    rows = _levels_on(_grid_rows(range(12), p))
-    levels = range(11)
-    assert residual_ode(levels, p, grid=rows).tobytes() == residual_ode(levels, p).tobytes()
-    assert commutator_residual(levels, p, grid=rows).tobytes() == commutator_residual(levels, p).tobytes()
+    for nmax in (0, 10, 98):
+        levels, shared = range(nmax + 1), range(nmax + 2)
+        grid = _grid_rows(shared, p)
+        for residual in (residual_ode, commutator_residual):
+            assert residual(shared, p, grid=grid)[:-1].tobytes() == residual(levels, p).tobytes()
+        states, y, _, _, u, du, _ = grid
+        own = [build_basis_state(k, p) for k in levels]
+        for apply in (apply_raising, apply_lowering):
+            got, want = apply(states)(y, (u, du))[:-1], apply(own)(y)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("residual", [residual_ode, commutator_residual])
+def test_a_grid_of_other_levels_or_another_well_is_rejected(residual):
+    p = PotentialParams(A=2.0)
+    cases = [
+        (_grid_rows([5, 6], p), r"grid holds levels \[5, 6\] of L=\[1.5\], not levels \[0, 1\] of L=\[1.5\]"),
+        (_grid_rows([0, 1, 2], p), r"grid holds levels \[0, 1, 2\] of L=\[1.5\], not levels \[0, 1\]"),
+        (_grid_rows([0, 1], PotentialParams(A=3.0)), r"grid holds levels \[0, 1\] of L=\[2.5\], not .* of L=\[1.5\]"),
+    ]
+    for grid, message in cases:
+        with pytest.raises(DomainError, match=message):
+            residual([0, 1], p, grid=grid)
+    assert residual([0, 1], p, grid=_grid_rows([0, 1], p)).tobytes() == residual([0, 1], p).tobytes()
+
+
+def test_a_level_that_vanishes_on_the_grid_is_rejected():
+    # from A ~ 2.58e7 cos^lam underflows at every grid point but tau = 0, where the odd levels are zero
+    p = PotentialParams(A=3e7)
+    assert residual_ode(0, p) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for residual in (residual_ode, commutator_residual):
+            with pytest.raises(DomainError, match=r"level 1 of the well A=30000000.0 is 0.0 at every grid point"):
+                residual(range(4), p)
 
 
 @pytest.mark.parametrize("A", [2.0, 21.0])

@@ -140,6 +140,8 @@ def test_gegenbauer_degree_range_rows_equal_single_degrees(lam, y):
             assert np.array_equal(row, _two_term_recurrence(n, shifted, y))
             assert np.array_equal(row, gegenbauer_value(n, shifted, y))
     assert not np.any(gegenbauer_value([-2, -1], lam, y))
+    for empty in ([], range(0)):  # numpy reads an empty list as float64
+        assert gegenbauer_value(empty, lam, y).shape == (0,) + np.shape(y)
     with pytest.raises(TypeError):
         gegenbauer_value([2, 2.5], lam, y)
 
