@@ -80,12 +80,15 @@ def _fmt_cell(v) -> str:
 # JSON output is json.dumps(payload, indent=2) as the C encoder writes it, which it does only without
 # indent: each encoder below ends every item in the line break and indent of its depth, so that only the
 # brackets are laid out afterwards.  Every payload value is a scalar or a flat list or dict, except the
-# table, whose rows are flat.  The encoder escapes every control character inside a string, so each raw
-# line break in its text is a separator
-_JSON_FLAT = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-_JSON_ROWS = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+# table, whose rows are tuples of scalars (a report's are flat dicts); the encoder writes a tuple as an
+# array.  A command hands over tuples, not one list per row: a 2,000-row table of lists sets off cyclic
+# GC passes, while 2- and 3-tuples come from CPython's tuple free list.  The encoder escapes every control
+# character inside a string, so each raw line break in its text is a separator.  check_circular=False: every
+# payload is built fresh from scalars, so it holds no cycle to look for
+_JSON_FLAT = json.JSONEncoder(separators=(",\n    ", ": "), check_circular=False).encode
+_JSON_ROWS = json.JSONEncoder(separators=(",\n      ", ": "), check_circular=False).encode
 # allow_nan=False: a non-finite float raises instead of printing as NaN or Infinity
-_CSV_ROWS = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+_CSV_ROWS = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False).encode
 
 
 def _json_value(v) -> str:
@@ -95,7 +98,8 @@ def _json_value(v) -> str:
 
 
 def _json_rows(rows: list) -> str:
-    """The text of a table of flat lists or flat dicts of scalars at a top-level key, in one encoder pass."""
+    """The text of a table of rows at a top-level key, in one encoder pass: tuples of scalars, or the flat
+    dicts of a report."""
     if not (rows and all(rows)):  # [] and an empty row print on one line
         return json.dumps(rows, indent=2).replace("\n", "\n  ")
     text = _JSON_ROWS(rows)
@@ -105,7 +109,7 @@ def _json_rows(rows: list) -> str:
 
 
 def _csv_rows(rows: list) -> list[str]:
-    """One CSV line per row of scalars, each cell as _fmt_cell spells it.
+    """One CSV line per row, a tuple of scalars, each cell as _fmt_cell spells it.
 
     The compact JSON of int, finite float and bool cells is _fmt_cell's text, so one encoder pass
     writes every line; a table with a str (quoted), None (null) or non-finite cell goes cell by cell."""
@@ -123,7 +127,8 @@ def _write(
 ) -> None:
     """Write payload as JSON, exactly json.dumps(payload, indent=2) with its table key's rows in one
     encoder pass, or as CSV: a header line, '# key=value' lines of payload["config"], the table, then
-    '# key=value' summary lines."""
+    '# key=value' summary lines.  rows are tuples of scalars, not lists: one list per row of a
+    2,000-row table sets off cyclic GC passes, a tuple of a few scalars comes from the free list."""
     if args.format == "json":
         items = (f"{_JSON_FLAT(k)}: {_json_rows(v) if k == table else _json_value(v)}" for k, v in payload.items())
         text = "{\n  " + ",\n  ".join(items) + "\n}\n"
@@ -160,7 +165,7 @@ def _emit(args: argparse.Namespace, command: str, config: dict, columns: list[st
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     _at_least("--nmax", args.nmax, 0)
     params = _params(args)
-    rows = [[n, p] for n, p in enumerate(momentum_level(range(args.nmax + 1), params).tolist())]
+    rows = list(enumerate(momentum_level(range(args.nmax + 1), params).tolist()))
     config = _config(args, nmax=args.nmax)
     summary = {"a_prime": params.a_prime, "L": params.L, "mass_scale": params.mass_scale}
     _emit(args, "spectrum", config, ["n", "momentum"], rows, summary)
@@ -174,7 +179,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     k = np.arange(args.samples)
     tau = -0.5 * np.pi + (k + 1.0) * np.pi / (args.samples + 1.0)
     psi = eval_state(state, tau)
-    rows = np.column_stack((tau, psi)).tolist()
+    rows = list(zip(tau.tolist(), psi.tolist()))
     config = _config(args, n=args.n, interval=args.interval, samples=args.samples)
     summary = {"a_prime": params.a_prime, "norm_constant": state.norm}
     _emit(args, "wavefunction", config, ["tau", "psi"], rows, summary)
@@ -191,7 +196,7 @@ def _coherent(args: argparse.Namespace) -> tuple:
 
 def _cmd_coherent(args: argparse.Namespace) -> int:
     params, cs, weights, config = _coherent(args)
-    rows = [[n, w, p] for n, (w, p) in enumerate(zip(weights.tolist(), np.angle(cs.coeffs).tolist()))]
+    rows = list(zip(range(len(weights)), weights.tolist(), np.angle(cs.coeffs).tolist()))
     mean_level = float(np.dot(weights, np.arange(len(weights))))
     summary = {
         "truncation_level": cs.truncation_level,
@@ -211,7 +216,7 @@ def _cmd_resolution(args: argparse.Namespace) -> int:
     params, levels = _params(args), range(args.nmax + 1)
     r_max = default_r_max(2.0 * args.nmax + 2.0 * params.L + 1.0)  # the top level's degree: one K-grid for every level
     moments = resolution_of_identity_check(levels, levels, params, gauss_legendre(args.quad_order), r_max).tolist()
-    rows = [[n, float(v), float(abs(v - 1.0))] for n, v in enumerate(moments)]
+    rows = [(n, v, abs(v - 1.0)) for n, v in enumerate(moments)]
     config = _config(args, nmax=args.nmax, quad_order=args.quad_order)
     summary = {"r_max": r_max, "max_abs_deviation": max(abs(v - 1.0) for v in moments)}
     _emit(args, "resolution", config, ["n", "value", "deviation"], rows, summary)
@@ -227,13 +232,13 @@ def _cmd_expect(args: argparse.Namespace) -> int:
     L = params.L
     raising_mean = general_expectation(cs, lambda i, j: _eigenvalues(j, L)[0], (1,))  # K+ has one diagonal
     rows = [
-        ["level_mean", mean_level],
-        ["level_variance", var_level],
-        ["gamma0_mean", mean_level + L + 0.5],
-        ["momentum_mean", float(np.dot(weights, momenta))],
-        ["raising_mean_re", raising_mean.real],
-        ["raising_mean_im", raising_mean.imag],
-        ["weight_sum", cs.norm_sq],
+        ("level_mean", mean_level),
+        ("level_variance", var_level),
+        ("gamma0_mean", mean_level + L + 0.5),
+        ("momentum_mean", float(np.dot(weights, momenta))),
+        ("raising_mean_re", raising_mean.real),
+        ("raising_mean_im", raising_mean.imag),
+        ("weight_sum", cs.norm_sq),
     ]
     summary = {"truncation_level": cs.truncation_level, "tail_bound": cs.tail_bound}
     _emit(args, "expect", config, ["observable", "value"], rows, summary)
@@ -253,7 +258,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"all {len(report.checks)} checks passed", file=sys.stderr)
     payload = report.to_dict()
     columns = list(payload["checks"][0])
-    rows = [list(c.values()) for c in payload["checks"]]
+    rows = [tuple(c.values()) for c in payload["checks"]]
     _write(args, payload, "checks", f"# {report.version}", columns, rows, {"pass": report.passed})
     return 0 if report.passed else 1
 

@@ -806,6 +806,11 @@ WRITER_ROWS = {
     "non-finite floats": [[n, v, 1.0] for n, v in enumerate(NON_FINITE)],
     "no rows": [],
     "an empty row": [[1, 2.0], []],
+    # the commands hand over tuples of scalars, which the encoder writes as arrays
+    "2000 tuple rows": [(n, n * 0.37 - 5.0, -1.0 / (n + 1)) for n in range(2000)],
+    "str and None cells in tuples": [("level_mean", 9.5), ('q"uote\nbreak', None), (None, -0.0)],
+    "non-finite floats in tuples": [(n, v, 1.0) for n, v in enumerate(NON_FINITE)],
+    "an empty tuple row": [(1, 2.0), ()],
 }
 
 
@@ -862,6 +867,31 @@ def test_every_command_writes_the_reference_bytes(argv, capsys):
         table, header = "rows", f"# {payload['version']} command={payload['command']}"
     assert main([*argv, "--format", "csv"]) in (0, 1)
     assert capsys.readouterr().out == _csv_cell_by_cell(payload, table, header)
+
+
+# A fresh interpreter warms CPython's free lists with one table, then counts the cyclic GC passes the same table
+# sets off again.  No gc.collect() between the two: a full pass empties the free lists
+GC_PROBE = """
+import contextlib, gc, io, sys
+from fhpt.cli import main
+argv = ["wavefunction", "--A", "3.3", "--n", "100", "--samples", "2000", "--format", sys.argv[1]]
+starts = []
+with contextlib.redirect_stdout(io.StringIO()):
+    main(argv)
+    gc.callbacks.append(lambda phase, info: starts.append(info["generation"]) if phase == "start" else None)
+    main(argv)
+print(len(starts))
+"""
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython's cyclic GC passes")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_2000_row_table_sets_off_no_gc_pass(fmt):
+    # one list per row made 2,000 tracked objects and 2 generation-0 passes per table; tuples of a few
+    # scalars come from the tuple free list
+    res = subprocess.run([sys.executable, "-c", GC_PROBE, fmt], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "0\n"
 
 
 # exit codes
