@@ -34,7 +34,11 @@ _MAX_SUM_ORDER = 196.48
 
 @dataclass(frozen=True)
 class CheckConfig(PotentialParams):
-    """The well the checks run on (A defaults to 2.0), then the level budget, rule order and tolerance override."""
+    """The well the checks run on (A defaults to 2.0), then the level budget, rule order and tolerance override.
+
+    quad_order is the order of the first Gram rule; gram-order-doubling compares it with a rule of twice that
+    order.  The K-weighted moments take their own fixed grid, 8 panels of an 80-point rule.
+    """
 
     A: float = 2.0
     nmax: int = 10
@@ -123,10 +127,10 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     r = np.max(np.abs(momentum_level(range(51), unit) - squares) / squares)
     checks.append(_result("spectrum-square-law", "unit-well-squared-integers", r, 1e-14, ov))
 
-    # orthonormality of the basis under the t measure
-    rule = gauss_legendre(config.quad_order)
-    gram = overlap(levels, levels, config, rule)
-    gram2 = overlap(levels, levels, config, gauss_legendre(2 * config.quad_order))
+    # orthonormality of the basis under the t measure: one overlap call evaluates each level once, over the nodes
+    # of both Gram rules
+    rules = [gauss_legendre(config.quad_order), gauss_legendre(2 * config.quad_order)]
+    gram, gram2 = overlap(levels, levels, config, rules)
     checks.append(_result("gram-identity", "basis-orthonormality", np.max(np.abs(gram - np.eye(len(levels)))), 1e-10, ov))
     checks.append(_result("gram-order-doubling", "quadrature-convergence", np.max(np.abs(gram - gram2)), 1e-12, ov))
 
@@ -161,9 +165,11 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     checks.append(_result("lowering-eigenstate", "annihilation-eigenrelation", r, 1e-10, ov))
 
     # completeness over the label plane: the diagonal moments, each normalized by its closed form, equal 1.  One
-    # pass over the K-grid takes levels 0..max(nmax, 7): identity-resolution reads 0..nmax, radial-closed-form 0, 3, 7
+    # pass over the K-grid takes levels 0..max(nmax, 7): identity-resolution reads 0..nmax, radial-closed-form 0, 3, 7.
+    # The grid is 8 panels of an 80-point rule, which reach rounding at every level up to 99; quad_order sets only
+    # the Gram rules
     top = max(config.nmax, 7)
-    moments = resolution_of_identity_check(range(top + 1), range(top + 1), config, rule,
+    moments = resolution_of_identity_check(range(top + 1), range(top + 1), config, gauss_legendre(80),
                                            default_r_max(2.0 * top + 2.0 * L + 1.0))
     r = np.max(np.abs(moments[: config.nmax + 1] - 1.0))
     checks.append(_result("identity-resolution", "label-plane-completeness", r, 1e-7, ov))

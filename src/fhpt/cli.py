@@ -318,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _command(
         sub, "verify", _cmd_verify, "run every named identity check and report", "--nmax", "--quad-order",
         nmax="level budget for the checks",
-        quad_order="quadrature order for overlaps and the K-grid, whose panel count it also sets",
+        quad_order="Gram rule order; gram-order-doubling adds a rule of twice it (the K-grid is 8 panels of 80 nodes)",
     )
     p.add_argument("--tol", type=float, default=None, help="override every check tolerance")
     parser.commands = sub.choices  # the subcommand parsers by name, which main calls directly

@@ -250,24 +250,34 @@ def residual_ode(n, params: PotentialParams, momentum: float | None = None, grid
     return _one_or_rows(one, np.max(np.abs(res), axis=1) / (params.c1**2 * np.max(np.abs(psi), axis=1)))
 
 
-def overlap(m, n, params: PotentialParams, rule: QuadratureRule) -> float | np.ndarray:
+def overlap(m, n, params: PotentialParams, rule: QuadratureRule | list[QuadratureRule]) -> float | np.ndarray | list:
     """Inner products of levels m and n in the t measure over tau in (-pi/2, pi/2).
 
     m and n are each a level or a sequence of levels: two levels give a float, anything else
-    the len(m) x len(n) block.  Each distinct level is evaluated once.  The basis is orthonormal.
+    the len(m) x len(n) block.  rule is a QuadratureRule, or a sequence of them for a list of one
+    result per rule, each equal to that rule's own call bit for bit.  Each distinct level is built
+    once and evaluated once, over every rule's nodes.  The basis is orthonormal.
     """
     rows, one_row = _as_list(m)
     cols, one_col = _as_list(n)
+    rules, one_rule = _as_list(rule)
     _check_ints("level index", rows + cols, 0, _MAX_LEVEL)  # before the set merges True into 1 and 2.0 into 2
     levels = sorted(set(rows + cols))
     index = {k: i for i, k in enumerate(levels)}
     at = np.array([index[k] for k in rows + cols], dtype=int)
-    psi = eval_state([build_basis_state(k, params) for k in levels], 0.5 * np.pi * rule.nodes) if len(levels) else None
-    w = 0.5 * np.pi * rule.weights / params.c1  # dt = dtau / c1
-    # one pass per level a forms each pair a <= b once and in one order, so a block equals its scalar
-    # pairs bit for bit; the lower triangle mirrors the upper
-    gram = np.empty((len(levels), len(levels)))
-    for a in range(len(levels)):
-        gram[a, a:] = gram[a:, a] = np.add.reduce(w * psi[a] * psi[a:], axis=1)
-    block = gram[np.ix_(at[: len(rows)], at[len(rows) :])]
-    return float(block[0, 0]) if one_row and one_col else block
+    # each level is built once and evaluated once, over the nodes of every rule in turn
+    nodes = np.concatenate([0.5 * np.pi * q.nodes for q in rules]) if rules else None
+    psi = eval_state([build_basis_state(k, params) for k in levels], nodes) if levels and rules else None
+    out, start = [], 0
+    for q in rules:
+        end = start + q.order
+        w = 0.5 * np.pi * q.weights / params.c1  # dt = dtau / c1
+        # one pass per level a forms each pair a <= b once and in one order, so a block equals its scalar
+        # pairs bit for bit; the lower triangle mirrors the upper
+        gram = np.empty((len(levels), len(levels)))
+        for a in range(len(levels)):
+            gram[a, a:] = gram[a:, a] = np.add.reduce(w * psi[a, start:end] * psi[a:, start:end], axis=1)
+        block = gram[np.ix_(at[: len(rows)], at[len(rows) :])]
+        out.append(float(block[0, 0]) if one_row and one_col else block)
+        start = end
+    return out[0] if one_rule else out

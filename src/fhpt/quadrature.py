@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _MAX_ORDER = 4096
+# the node budget of a main K-grid: max(8, ceil(_K_GRID_NODES / order)) panels of the order-point rule
+_K_GRID_NODES = 640
 
 
 class TruncationWarning(UserWarning):
@@ -85,7 +87,7 @@ def default_r_max(poly_degree: float) -> float:
 
 # a verify makes one integrator call per grid, and a well verified again in the same
 # process reuses it: grids are cached per (nu, geometry, rule), and rules per order, so a
-# rule's identity is a stable key; 32 grids of 1,600 nodes (order 200) take about 0.8 MB
+# rule's identity is a stable key; 32 grids of 640 nodes (verify's order 80) take about 0.33 MB
 @functools.lru_cache(maxsize=32)
 def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int, rule: QuadratureRule):
     edges = np.geomspace(lo, hi, n_panels + 1)
@@ -102,10 +104,10 @@ def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int, rule: Quadr
     return nodes, wk
 
 
-# a panel of ratio R sees the r = 0 branch point on the Bernstein ellipse rho = (sqrt R + 1) / (sqrt R - 1), where
-# an n-point rule errs like rho^(-2 n): 8 panels (R ~ 13, rho ~ 1.75) reach rounding at n = 200, and n <= 50 keeps 32
+# in ln r the peak of r^mu K_nu(2 r) is about 1 / sqrt(mu + 1) wide, and that width sets the nodes a panel needs:
+# at 8 panels, moments of levels up to 10, 30, 60 and 99 reach rounding with 48, 56, 64 and 72 points per panel
 def _main_panels(rule: QuadratureRule) -> int:
-    return max(8, math.ceil(1600 / rule.order))
+    return max(8, math.ceil(_K_GRID_NODES / rule.order))
 
 
 def _probe(f: float, k: float, r: float) -> float:
@@ -128,7 +130,7 @@ def integrate_semi_infinite_k_weight(
     array of the k integrals from one pass over the grid; each equals that row's own call bit for
     bit, tail estimates and warnings included.
 
-    max(8, ceil(1600 / rule.order)) geometric panels span [lo, r_max], and only their nodes
+    max(8, ceil(640 / rule.order)) geometric panels span [lo, r_max], and only their nodes
     with a K weight > 0.0 are kept: any other adds exactly 0 to a finite row, as a tail probe
     whose K is 0.0 does, so g may overflow there; a mesh with none raises IntegrationError.  lo
     is 1e-6, or for nu above about 44 the radius e_nu below which K_nu(2 r) ~ Gamma(nu)
@@ -153,11 +155,14 @@ def integrate_semi_infinite_k_weight(
         gv = np.asarray(g(nodes), dtype=float)
         probes = np.asarray(g(np.array([r_max, lo, 2.0 * lo])), dtype=float)
 
+    # one pass tests every row; the first failing row names its own first bad node
+    bad = ~np.isfinite(np.atleast_2d(gv))
+    if bad.any():
+        first = bad[bad.any(axis=1)][0]
+        raise IntegrationError(f"integrand returned a non-finite value at node {float(nodes[first][0])!r}")
+
     def row_integral(i: int, row: np.ndarray, probe: np.ndarray) -> float:
         # row i with its own tail estimates; the few rows that need lower-tail panels take row i of g on them
-        if not np.all(np.isfinite(row)):
-            bad = nodes[~np.isfinite(row)][0]
-            raise IntegrationError(f"integrand returned a non-finite value at node {float(bad)!r}")
         total = float(np.dot(wk, row))
         scale = max(abs(total), 1e-300)
 
@@ -185,7 +190,6 @@ def integrate_semi_infinite_k_weight(
             total += float(np.dot(pw, np.atleast_2d(np.asarray(g(pn), dtype=float))[i]))
         return total + tail * 100.0 ** (-k * (p + 1.0))
 
-    # rows in order, so that the first failing row names its own first bad node
     totals = []
     for i, (row, probe) in enumerate(zip(np.atleast_2d(gv), np.atleast_2d(probes))):
         totals.append(row_integral(i, row, probe))

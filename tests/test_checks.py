@@ -160,8 +160,8 @@ def _record_calls(monkeypatch, name: str, source=special) -> list:
 def test_level_checks_run_one_recurrence_per_grid(monkeypatch):
     # the count must not grow with nmax: three recurrences (u, u', u'') for the
     # level grid that the ODE, ladder and commutator checks share, and one for
-    # each Gram rule.  The first run fills the Gauss-Legendre rule cache, whose
-    # Newton steps run the lam = 1/2 recurrence
+    # the nodes of both Gram rules.  The first run fills the Gauss-Legendre rule
+    # cache, whose Newton steps run the lam = 1/2 recurrence
     run_checks(CheckConfig(nmax=10))
     calls = _record_calls(monkeypatch, "gegenbauer_value")
     counts = []
@@ -169,7 +169,7 @@ def test_level_checks_run_one_recurrence_per_grid(monkeypatch):
         calls.clear()
         run_checks(CheckConfig(nmax=nmax))
         counts.append(len(calls))
-    assert counts == [5, 5]
+    assert counts == [4, 4]
 
 
 def test_moment_checks_make_one_integrator_call_each(monkeypatch):
@@ -205,11 +205,12 @@ def test_cold_run_builds_one_grid_per_well(A, nmax, grids):
 
 def test_default_run_builds_each_state_once(monkeypatch):
     # 12 basis states for the level grid that the ODE, ladder and commutator checks share, and 11 for
-    # each Gram rule; five distinct coherent labels
+    # the one overlap call of both Gram rules; five distinct coherent labels
     basis = _record_calls(monkeypatch, "build_basis_state", model)
     labels = _record_calls(monkeypatch, "build_coherent_state", coherent)
+    gram = _record_calls(monkeypatch, "overlap", model)
     run_checks()
-    assert (len(basis), len(labels)) == (34, 5)
+    assert (len(basis), len(labels), len(gram)) == (23, 5, 1)
 
 
 @pytest.mark.parametrize("A", [0.65, 2.0, 21.0])

@@ -144,10 +144,10 @@ n,weight,phase
 # nmax=1
 # quad_order=40
 n,value,deviation
-0,0.9999999999999997,3.3306690738754696e-16
-1,1.0000000000000004,4.440892098500626e-16
+0,0.9999999999999996,4.440892098500626e-16
+1,1.0000000000000007,6.661338147750939e-16
 # r_max=65.0
-# max_abs_deviation=4.440892098500626e-16
+# max_abs_deviation=6.661338147750939e-16
 """,
     ('expect', '--A', '3', '--z', '0.5+0.5i', '--tail-tol', '1e-8', '--format', 'csv'): """# fhpt-table/1 command=expect
 # A=3.0
@@ -276,18 +276,18 @@ weight_sum,0.9999999999395892
   "rows": [
     [
       0,
-      0.9999999999999997,
-      3.3306690738754696e-16
+      0.9999999999999996,
+      4.440892098500626e-16
     ],
     [
       1,
-      1.0000000000000004,
-      4.440892098500626e-16
+      1.0000000000000007,
+      6.661338147750939e-16
     ]
   ],
   "summary": {
     "r_max": 65.0,
-    "max_abs_deviation": 4.440892098500626e-16
+    "max_abs_deviation": 6.661338147750939e-16
   }
 }
 """,
@@ -388,8 +388,8 @@ commutator,ladder-commutator,9.239143561501516e-14,1e-09,true
 casimir-constancy,casimir-invariant,1.9737298215558337e-16,1e-12,true
 coherent-normalization,unit-weight-sum,6.428191312579656e-14,1e-12,true
 lowering-eigenstate,annihilation-eigenrelation,4.628570439118569e-16,1e-10,true
-identity-resolution,label-plane-completeness,3.9968028886505635e-15,1e-07,true
-radial-closed-form,k-weighted-moments,1.5543122344752192e-15,1e-09,true
+identity-resolution,label-plane-completeness,4.6629367034256575e-15,1e-07,true
+radial-closed-form,k-weighted-moments,1.6653345369377348e-15,1e-09,true
 bessel-wronskian,cross-product-identity,6.439293542825908e-15,1e-10,true
 half-order-bessel,elementary-closed-forms,7.513987692068883e-15,1e-12,true
 quadrature-exactness,polynomial-exactness,1.3877787807814457e-16,1e-12,true
@@ -489,14 +489,14 @@ bessel-sum-identity,weight-series-resummation,2.0063093773401714e-15,1e-12,true
     {
       "name": "identity-resolution",
       "identity": "label-plane-completeness",
-      "residual": 3.9968028886505635e-15,
+      "residual": 4.6629367034256575e-15,
       "tol": 1e-07,
       "pass": true
     },
     {
       "name": "radial-closed-form",
       "identity": "k-weighted-moments",
-      "residual": 1.5543122344752192e-15,
+      "residual": 1.6653345369377348e-15,
       "tol": 1e-09,
       "pass": true
     },
@@ -553,8 +553,8 @@ commutator,ladder-commutator,2.589756750642814e-14,1e-09,true
 casimir-constancy,casimir-invariant,1.5828530535979064e-16,1e-12,true
 coherent-normalization,unit-weight-sum,6.661338147750939e-16,1e-12,true
 lowering-eigenstate,annihilation-eigenrelation,5.939536886830383e-16,1e-10,true
-identity-resolution,label-plane-completeness,3.3306690738754696e-15,1e-07,true
-radial-closed-form,k-weighted-moments,2.9976021664879227e-15,1e-09,true
+identity-resolution,label-plane-completeness,4.440892098500626e-15,1e-07,true
+radial-closed-form,k-weighted-moments,2.1094237467877974e-15,1e-09,true
 bessel-wronskian,cross-product-identity,6.439293542825908e-15,1e-10,true
 half-order-bessel,elementary-closed-forms,7.513987692068883e-15,1e-12,true
 quadrature-exactness,polynomial-exactness,1.3877787807814457e-16,1e-12,true
@@ -654,14 +654,14 @@ bessel-sum-identity,weight-series-resummation,2.0063093773401714e-15,1e-12,true
     {
       "name": "identity-resolution",
       "identity": "label-plane-completeness",
-      "residual": 3.3306690738754696e-15,
+      "residual": 4.440892098500626e-15,
       "tol": 1e-07,
       "pass": true
     },
     {
       "name": "radial-closed-form",
       "identity": "k-weighted-moments",
-      "residual": 2.9976021664879227e-15,
+      "residual": 2.1094237467877974e-15,
       "tol": 1e-09,
       "pass": true
     },
@@ -1082,7 +1082,7 @@ def test_help_states_the_parsed_defaults(command, capsys, monkeypatch):
 def test_verify_words_its_shared_options_for_the_checks(capsys):
     assert main(["verify", "--help"]) == 0
     out = capsys.readouterr().out
-    assert "level budget for the checks" in out and "quadrature order for overlaps" in out
+    assert "level budget for the checks" in out and "Gram rule order" in out
     assert main(["resolution", "--help"]) == 0
     out = capsys.readouterr().out
     assert "highest level (default 10)" in out and "panel rule order" in out

@@ -422,6 +422,13 @@ def test_overlap_block_equals_scalar_pairs(A, order):
     for i in range(12):
         for j in range(12):
             assert block[i, j] == overlap(i, j, p, rule)
+    # a sequence of rules, as verify's two Gram checks take them: one block per rule, each its own call's
+    rules = [rule, gauss_legendre(2 * order)]
+    blocks = overlap(range(12), range(12), p, rules)
+    assert isinstance(blocks, list) and len(blocks) == 2
+    for got, r in zip(blocks, rules):
+        assert got.tobytes() == overlap(range(12), range(12), p, r).tobytes()
+    assert overlap(3, 5, p, rules) == [overlap(3, 5, p, r) for r in rules]
 
 
 def test_overlap_shapes():

@@ -208,11 +208,13 @@ def test_tail_probes_are_taken_on_every_call(monkeypatch, nu):
 
 
 def test_main_grid_panels_follow_the_rule_order():
-    # the default rule gets 1,600 nodes; no order up to 50 gets fewer than 32 panels
-    rule = gauss_legendre(200)
-    assert _main_panels(rule) == 8
-    assert _k_weighted_grid(4.0, 1e-6, 235.0, _main_panels(rule), rule)[0].size == 1600
-    assert all(_main_panels(gauss_legendre(order)) >= 32 for order in range(1, 51))
+    # a 640-node budget: verify's 80-point rule gets 8 panels, 640 nodes, and the default order 200 of
+    # resolution keeps 8 panels of 1,600 nodes; no order gets fewer than 640 nodes, nor fewer than 8 panels
+    for order, panels in ((80, 8), (200, 8), (40, 16), (20, 32)):
+        rule = gauss_legendre(order)
+        assert _main_panels(rule) == panels
+        assert _k_weighted_grid(4.0, 1e-6, 235.0, panels, rule)[0].size == panels * order
+    assert all(_main_panels(gauss_legendre(order)) >= max(8, 640 / order) for order in range(1, 81))
     assert _main_panels(gauss_legendre(2048)) * 2048 == 16384
 
 
@@ -232,6 +234,18 @@ def test_k_moments_reach_rounding_at_every_rule_order(order, A):
             got = integrate_semi_infinite_k_weight(lambda r: r**mu, 2.0 * L, r_max=r_max, rule=rule)
             exact = mpmath.gamma((1 + mpmath.mpf(mu) + 2 * L) / 2) * mpmath.gamma((1 + mpmath.mpf(mu) - 2 * L) / 2) / 4
             assert abs(got / exact - 1) < 1e-12
+
+
+@pytest.mark.parametrize("two_l", [0.3, 2.0, 20.00005, 41.5, 60.0])
+def test_k_moments_at_verify_rule_reach_rounding_at_every_level(two_l):
+    # verify's K-grid, 8 panels of the 80-point rule: at nmax 99, every normalized moment is 1 to rounding
+    # (measured at most 2.9e-13, at 2L = 60)
+    params = PotentialParams(A=0.5 * (two_l + 1.0))  # 2L = 2A - 1 in natural units
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        r_max = default_r_max(2.0 * 99 + 2.0 * params.L + 1.0)
+        moments = resolution_of_identity_check(range(100), range(100), params, gauss_legendre(80), r_max)
+    assert np.max(np.abs(moments - 1.0)) < 1e-12
 
 
 def _recorded(call) -> tuple[object, list]:
