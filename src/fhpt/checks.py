@@ -165,11 +165,9 @@ def run_checks(config: CheckConfig | None = None) -> VerificationReport:
     checks.append(_result("lowering-eigenstate", "annihilation-eigenrelation", r, 1e-10, ov))
 
     # completeness over the label plane: the diagonal moments, each normalized by its closed form, equal 1.  One
-    # pass over the K-grid takes levels 0..max(nmax, 7): identity-resolution reads 0..nmax, radial-closed-form 0, 3, 7.
-    # The grid is 8 panels of an 80-point rule, which reach rounding at every level up to 99; quad_order sets only
-    # the Gram rules
+    # pass over the K-grid takes levels 0..max(nmax, 7): identity-resolution reads 0..nmax, radial-closed-form 0, 3, 7
     top = max(config.nmax, 7)
-    moments = resolution_of_identity_check(range(top + 1), range(top + 1), config, gauss_legendre(80),
+    moments = resolution_of_identity_check(range(top + 1), range(top + 1), config,
                                            default_r_max(2.0 * top + 2.0 * L + 1.0))
     r = np.max(np.abs(moments[: config.nmax + 1] - 1.0))
     checks.append(_result("identity-resolution", "label-plane-completeness", r, 1e-7, ov))

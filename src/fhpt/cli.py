@@ -28,7 +28,7 @@ from .coherent import (
 )
 from .errors import ConvergenceError, DomainError, IntegrationError, _check_int
 from .model import _MAX_LEVEL, PotentialParams, build_basis_state, eval_state, momentum_level
-from .quadrature import default_r_max, gauss_legendre
+from .quadrature import default_r_max
 
 __all__ = ["main", "parse_z"]
 
@@ -211,13 +211,12 @@ def _cmd_coherent(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolution(args: argparse.Namespace) -> int:
-    _at_least("--nmax", args.nmax, 0)
     _check_int("--nmax", args.nmax, 0, _MAX_LEVEL)  # the level bound, before any per-level list is built
     params, levels = _params(args), range(args.nmax + 1)
     r_max = default_r_max(2.0 * args.nmax + 2.0 * params.L + 1.0)  # the top level's degree: one K-grid for every level
-    moments = resolution_of_identity_check(levels, levels, params, gauss_legendre(args.quad_order), r_max).tolist()
+    moments = resolution_of_identity_check(levels, levels, params, r_max).tolist()
     rows = [(n, v, abs(v - 1.0)) for n, v in enumerate(moments)]
-    config = _config(args, nmax=args.nmax, quad_order=args.quad_order)
+    config = _config(args, nmax=args.nmax)
     summary = {"r_max": r_max, "max_abs_deviation": max(abs(v - 1.0) for v in moments)}
     _emit(args, "resolution", config, ["n", "value", "deviation"], rows, summary)
     return 0
@@ -273,9 +272,6 @@ _WELL_HELP = {
 # the options that more than one command takes
 _SHARED = {
     "--nmax": {"type": int, "default": CheckConfig.nmax, "help": "highest level (default %(default)s)"},
-    "--quad-order": {
-        "type": int, "default": CheckConfig.quad_order, "help": "panel rule order; it also sets the K-grid's panel count"
-    },
     "--z": {"default": "1", "help": "complex label, 'a+bi' or polar 'r@theta'"},
     "--tail-tol": {"type": float, "default": 1e-13, "help": "dropped-weight bound"},
 }
@@ -311,14 +307,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=201, help="number of interior grid points")
     p.add_argument("--interval", choices=("full", "half"), default="full", help="normalization convention")
     _command(sub, "coherent", _cmd_coherent, "coefficient table of a coherent superposition", "--z", "--tail-tol")
-    _command(
-        sub, "resolution", _cmd_resolution, "diagonal completeness moments over the label plane", "--nmax", "--quad-order"
-    )
+    _command(sub, "resolution", _cmd_resolution, "diagonal completeness moments over the label plane", "--nmax")
     _command(sub, "expect", _cmd_expect, "expectation values in a coherent state", "--z", "--tail-tol")
-    p = _command(
-        sub, "verify", _cmd_verify, "run every named identity check and report", "--nmax", "--quad-order",
-        nmax="level budget for the checks",
-        quad_order="Gram rule order; gram-order-doubling adds a rule of twice it (the K-grid is 8 panels of 80 nodes)",
+    p = _command(sub, "verify", _cmd_verify, "run every named identity check and report", "--nmax",
+                 nmax="level budget for the checks")
+    p.add_argument(
+        "--quad-order", type=int, default=CheckConfig.quad_order,
+        help="Gram rule order; gram-order-doubling adds a rule of twice it (the K-grid is 8 panels of 80 nodes)",
     )
     p.add_argument("--tol", type=float, default=None, help="override every check tolerance")
     parser.commands = sub.choices  # the subcommand parsers by name, which main calls directly

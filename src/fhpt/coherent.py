@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import _eigenvalues
 from .errors import ConvergenceError, DomainError, _check_ints
 from .model import _MAX_LEVEL, PotentialParams, _as_list, _one_or_rows
-from .quadrature import QuadratureRule, integrate_semi_infinite_k_weight
+from .quadrature import integrate_semi_infinite_k_weight
 from .special import _bessel_i_series, bessel_i
 
 __all__ = [
@@ -152,13 +152,7 @@ def radial_weight_moment(mu: float, nu: float) -> float:
     return 0.25 * math.gamma(0.5 * (1.0 + mu + nu)) * math.gamma(0.5 * (1.0 + mu - nu))
 
 
-def resolution_of_identity_check(
-    n,
-    n_prime,
-    params: PotentialParams,
-    rule: QuadratureRule,
-    r_max: float,
-) -> float | np.ndarray:
+def resolution_of_identity_check(n, n_prime, params: PotentialParams, r_max: float) -> float | np.ndarray:
     """Matrix element (n_prime, n) of the completeness integral over labels z.
 
     With the weight (2 / pi) K_(2L)(2|z|) / |z|^(2L - 1) on the label plane,
@@ -169,7 +163,9 @@ def resolution_of_identity_check(
     the integrand does, and the identity holds when every diagonal element equals 1.
     n and n_prime are each a level in [0, 100], or sequences of one length for one element
     per pair (n[i], n_prime[i]), whose diagonal moments share one pass over the K-grid;
-    each element equals its own pair's call bit for bit.
+    each element equals its own pair's call bit for bit.  The moments take the integrator's one
+    grid, 8 panels of the 80-point rule up to r_max: a moment's peak in ln r narrows with its
+    level, and the grid is sized for the narrowest, a level-100 moment's, which it takes to rounding.
     """
     ns, one = _as_list(n)
     ms, one_prime = _as_list(n_prime)
@@ -183,6 +179,6 @@ def resolution_of_identity_check(
         levels = [ns[i] for i in diagonal]
         mu = np.array([[2.0 * k + 2.0 * L + 1.0] for k in levels])
         log_m = np.array([[math.lgamma(k + 1.0) + math.lgamma(k + 2.0 * L + 1.0) - math.log(4.0)] for k in levels])
-        out[diagonal] = integrate_semi_infinite_k_weight(lambda r: np.exp(mu * np.log(r) - log_m), 2.0 * L, r_max, rule)
+        out[diagonal] = integrate_semi_infinite_k_weight(lambda r: np.exp(mu * np.log(r) - log_m), 2.0 * L, r_max)
     return _one_or_rows(one and one_prime, out)
 

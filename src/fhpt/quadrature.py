@@ -29,8 +29,6 @@ __all__ = [
 ]
 
 _MAX_ORDER = 4096
-# the node budget of a main K-grid: max(8, ceil(_K_GRID_NODES / order)) panels of the order-point rule
-_K_GRID_NODES = 640
 
 
 class TruncationWarning(UserWarning):
@@ -85,11 +83,17 @@ def default_r_max(poly_degree: float) -> float:
     return max(30.0, 5.0 + 10.0 * float(poly_degree))
 
 
+# in ln r the peak of r^mu K_nu(2 r) is about 1 / sqrt(mu + 1) wide, and that width sets the nodes a panel needs:
+# at 8 panels, moments of levels up to 10, 30, 60 and 99 reach rounding with 48, 56, 64 and 72 points per panel.
+# Every K-grid takes panels of the _K_ORDER-point rule, _K_PANELS of them from the mesh edge to the cutoff
+_K_ORDER, _K_PANELS = 80, 8
+
+
 # a verify makes one integrator call per grid, and a well verified again in the same
-# process reuses it: grids are cached per (nu, geometry, rule), and rules per order, so a
-# rule's identity is a stable key; 32 grids of 640 nodes (verify's order 80) take about 0.33 MB
+# process reuses it: grids are cached per (nu, geometry); 32 grids of 640 nodes take about 0.33 MB
 @functools.lru_cache(maxsize=32)
-def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int, rule: QuadratureRule):
+def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int):
+    rule = gauss_legendre(_K_ORDER)
     edges = np.geomspace(lo, hi, n_panels + 1)
     l, h = edges[:-1, None], edges[1:, None]
     nodes = (0.5 * (l + h) + 0.5 * (h - l) * rule.nodes).ravel()
@@ -104,12 +108,6 @@ def _k_weighted_grid(nu: float, lo: float, hi: float, n_panels: int, rule: Quadr
     return nodes, wk
 
 
-# in ln r the peak of r^mu K_nu(2 r) is about 1 / sqrt(mu + 1) wide, and that width sets the nodes a panel needs:
-# at 8 panels, moments of levels up to 10, 30, 60 and 99 reach rounding with 48, 56, 64 and 72 points per panel
-def _main_panels(rule: QuadratureRule) -> int:
-    return max(8, math.ceil(_K_GRID_NODES / rule.order))
-
-
 def _probe(f: float, k: float, r: float) -> float:
     # a tail probe g(r) K; an underflowed K contributes 0, and any other non-finite probe is rejected like a node
     f = float(f) * k if k else 0.0
@@ -118,27 +116,25 @@ def _probe(f: float, k: float, r: float) -> float:
     return f
 
 
-def integrate_semi_infinite_k_weight(
-    g: Callable,
-    nu: float,
-    r_max: float,
-    rule: QuadratureRule,
-) -> float | np.ndarray:
+def integrate_semi_infinite_k_weight(g: Callable, nu: float, r_max: float) -> float | np.ndarray:
     """Integral of g(r) * K_nu(2 r) over (0, infinity), truncated at r_max.
 
     g maps an array r to g(r), or to one row per integrand, shape (k, len(r)), which gives an
     array of the k integrals from one pass over the grid; each equals that row's own call bit for
     bit, tail estimates and warnings included.
 
-    max(8, ceil(640 / rule.order)) geometric panels span [lo, r_max], and only their nodes
-    with a K weight > 0.0 are kept: any other adds exactly 0 to a finite row, as a tail probe
-    whose K is 0.0 does, so g may overflow there; a mesh with none raises IntegrationError.  lo
-    is 1e-6, or for nu above about 44 the radius e_nu below which K_nu(2 r) ~ Gamma(nu)
-    r^(-nu) / 2 leaves the double range.  Below lo the integrand follows a power law C r^p,
-    probed at lo and 2 lo, so the dropped piece is T = f(lo) lo / (p + 1).  When T exceeds
-    1e-13 of the result, ratio-100 panels cover the part of (e_nu, lo) that matters and the
-    rest below them is added in closed form.  A probed p <= -1 (a divergent integral) or an
-    upper tail above 1e-12 of the result raises TruncationWarning.
+    Every integrand takes one grid: 8 geometric panels of the 80-point rule span [lo, r_max].
+    It brings an integrand to rounding when its peak in ln r is at least as wide as a level-100
+    moment's: r^mu K_nu(2 r) peaks with a width of about 1 / sqrt(mu + 1), and level n has
+    mu = 2 n + 2L + 1.  Only the grid's nodes with a K weight > 0.0 are kept: any other adds
+    exactly 0 to a finite row, as a tail probe whose K is 0.0 does, so g may overflow there; a
+    mesh with none raises IntegrationError.  lo is 1e-6, or for nu above about 44 the radius e_nu
+    below which K_nu(2 r) ~ Gamma(nu) r^(-nu) / 2 leaves the double range.  Below lo the integrand
+    follows a power law C r^p, probed at lo and 2 lo, so the piece below lo is T = f(lo) lo / (p + 1),
+    and it is added in closed form.  When T exceeds 1e-13 of the result, ratio-100 panels of the same
+    rule first cover the part of (e_nu, lo) that matters, and only the rest below them is closed form.
+    A probed p <= -1 (a divergent integral) or an upper tail above 1e-12 of the result raises
+    TruncationWarning.
     """
     nu = abs(nu)
     floor = 1e-240
@@ -148,7 +144,7 @@ def integrate_semi_infinite_k_weight(
     if not r_max > lo:
         raise DomainError(f"r_max must exceed the inner mesh edge {lo!r}, got {r_max!r}")
 
-    nodes, wk = _k_weighted_grid(nu, lo, r_max, _main_panels(rule), rule)
+    nodes, wk = _k_weighted_grid(nu, lo, r_max, _K_PANELS)
     k_hi, k_lo, k_2lo = (bessel_k(nu, 2.0 * r) for r in (r_max, lo, 2.0 * lo))
     # a value that overflows is rejected below with its node or probe, so numpy's warning would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -182,11 +178,10 @@ def integrate_semi_infinite_k_weight(
             warnings.warn(message, TruncationWarning, stacklevel=3)
             return total
         tail = f1 * lo / (p + 1.0)
-        if tail <= 1e-13 * scale:
-            return total
         k = min(math.ceil(math.log(tail / (1e-13 * scale), 100.0) / (p + 1.0)), int(math.log(lo / floor, 100.0)))
+        k = max(k, 0)  # a T within 1e-13 of the result needs no panels, and is still added
         if k > 0:
-            pn, pw = _k_weighted_grid(nu, lo / 100.0**k, lo, k, rule)
+            pn, pw = _k_weighted_grid(nu, lo / 100.0**k, lo, k)
             total += float(np.dot(pw, np.atleast_2d(np.asarray(g(pn), dtype=float))[i]))
         return total + tail * 100.0 ** (-k * (p + 1.0))
 

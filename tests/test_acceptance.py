@@ -167,19 +167,16 @@ def test_criterion_07_annihilation_eigenstate():
 def test_criterion_08_label_plane_completeness():
     t0 = time.monotonic()
     p = PotentialParams(A=2.0)
-    rule = gauss_legendre(200)
     r_max = default_r_max(2.0 * 10 + 2.0 * p.L + 1.0)
     worst_diag = max(
-        abs(resolution_of_identity_check(n, n, p, rule=rule, r_max=r_max) - 1.0)
+        abs(resolution_of_identity_check(n, n, p, r_max=r_max) - 1.0)
         for n in range(11)
     )
     worst_mom = 0.0
     for k in (0, 3, 7):
         mu = 2.0 * k + 2.0 * p.L + 1.0
         closed = radial_weight_moment(mu, 2.0 * p.L)
-        quad = integrate_semi_infinite_k_weight(
-            lambda r, m=mu: r**m, 2.0 * p.L, r_max=default_r_max(mu), rule=rule
-        )
+        quad = integrate_semi_infinite_k_weight(lambda r, m=mu: r**m, 2.0 * p.L, r_max=default_r_max(mu))
         worst_mom = max(worst_mom, abs(quad - closed) / closed)
     elapsed = time.monotonic() - t0
     ok = worst_diag < 1e-7 and worst_mom < 1e-9 and elapsed < 10.0

@@ -135,14 +135,13 @@ n,weight,phase
 # mean_gamma0=2.022399490318498
 # lowering_residual=5.929862377219018e-17
 """,
-    ('resolution', '--nmax', '1', '--quad-order', '40', '--format', 'csv'): """# fhpt-table/1 command=resolution
+    ('resolution', '--nmax', '1', '--format', 'csv'): """# fhpt-table/1 command=resolution
 # A=2.0
 # c1=1.0
 # m0=0.5
 # c=1.0
 # hbar=1.0
 # nmax=1
-# quad_order=40
 n,value,deviation
 0,0.9999999999999996,4.440892098500626e-16
 1,1.0000000000000007,6.661338147750939e-16
@@ -256,7 +255,7 @@ weight_sum,0.9999999999395892
   }
 }
 """,
-    ('resolution', '--nmax', '1', '--quad-order', '40', '--format', 'json'): """{
+    ('resolution', '--nmax', '1', '--format', 'json'): """{
   "version": "fhpt-table/1",
   "command": "resolution",
   "config": {
@@ -265,8 +264,7 @@ weight_sum,0.9999999999395892
     "m0": 0.5,
     "c": 1.0,
     "hbar": 1.0,
-    "nmax": 1,
-    "quad_order": 40
+    "nmax": 1
   },
   "columns": [
     "n",
@@ -846,7 +844,7 @@ EVERY_COMMAND = [
     ["spectrum", "--nmax", "20"],
     ["wavefunction", "--n", "3", "--samples", "7", "--interval", "half"],
     ["coherent", "--z", "3@0.4"],
-    ["resolution", "--nmax", "3", "--quad-order", "40"],
+    ["resolution", "--nmax", "3"],
     ["expect", "--z", "2+1i"],
     ["verify", "--nmax", "3", "--quad-order", "40"],
 ]
@@ -942,7 +940,7 @@ def test_a_well_past_the_double_range_exits_two_at_once(command):
 
 OUT_OF_RANGE = {
     "spectrum --nmax -1": "--nmax must be at least 0, got -1",
-    "resolution --nmax -1": "--nmax must be at least 0, got -1",
+    "resolution --nmax -1": "--nmax must be an integer in [0, 100], got -1",
     # unbounded before: the levels' list and their (nmax + 1) x 1,600 powers were built first
     "resolution --nmax 101": "--nmax must be an integer in [0, 100], got 101",
     "wavefunction --samples 0": "--samples must be at least 1, got 0",
@@ -982,7 +980,7 @@ def test_out_of_range_inputs_exit_two(command, capsys):
 @pytest.mark.parametrize(
     "command",
     ["resolution --A 100", "verify --A 45", "verify --A 45 --nmax 0", "verify --A 23 --nmax 30",
-     "resolution --quad-order 1 --A 42.9288 --nmax 10"],
+     "resolution --A 42.9288 --nmax 10"],
 )
 def test_moment_overflow_ends_in_one_stderr_line(command, capsys):
     # the raw powers r^degree overflowed here on the upper panels, and the call ended in one stderr line.
@@ -1046,6 +1044,8 @@ def test_exit_two_on_usage_error():
     assert run_cli("nonsense").returncode == 2
     assert run_cli("wavefunction", "--interval", "bogus").returncode == 2
     assert run_cli("coherent", "--z", "abc").returncode == 2
+    # every K-weighted moment takes the one K-grid, so only verify's Gram rules have an order to set
+    assert run_cli("resolution", "--quad-order", "40").returncode == 2
 
 
 WELL_DEFAULTS = {"A": 2.0, "c1": 1.0, "m0": 0.5, "c": 1.0, "hbar": 1.0, "format": "csv", "out": None}
@@ -1053,7 +1053,7 @@ PARSED_DEFAULTS = {
     "spectrum": {"nmax": 10},
     "wavefunction": {"n": 0, "samples": 201, "interval": "full"},
     "coherent": {"z": "1", "tail_tol": 1e-13},
-    "resolution": {"nmax": 10, "quad_order": 200},
+    "resolution": {"nmax": 10},
     "expect": {"z": "1", "tail_tol": 1e-13},
     "verify": {"nmax": 10, "quad_order": 200, "tol": None},
 }
@@ -1085,7 +1085,19 @@ def test_verify_words_its_shared_options_for_the_checks(capsys):
     assert "level budget for the checks" in out and "Gram rule order" in out
     assert main(["resolution", "--help"]) == 0
     out = capsys.readouterr().out
-    assert "highest level (default 10)" in out and "panel rule order" in out
+    assert "highest level (default 10)" in out and "--quad-order" not in out
+
+
+@pytest.mark.parametrize("nmax", ["7", "10", "30"])
+@pytest.mark.parametrize("A", ["0.65", "2", "21"])
+def test_resolution_prints_the_moments_verify_checks(A, nmax, capsys):
+    # from nmax 7 on, verify's one moment pass takes levels 0..nmax on the cutoff of level nmax, as resolution
+    # does, and both integrate on the one K-grid: the deviations agree bit for bit
+    assert main(["resolution", "--A", A, "--nmax", nmax, "--format", "json"]) == 0
+    deviation = json.loads(capsys.readouterr().out)["summary"]["max_abs_deviation"]
+    assert main(["verify", "--A", A, "--nmax", nmax, "--format", "json"]) in (0, 1)  # A = 0.65 fails the Gram checks
+    residuals = {c["name"]: c["residual"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert residuals["identity-resolution"] == deviation
 
 
 def test_one_parser_serves_every_request_in_a_process(capsys):

@@ -18,7 +18,7 @@ from fhpt.coherent import (
 )
 from fhpt.errors import DomainError
 from fhpt.model import PotentialParams
-from fhpt.quadrature import default_r_max, gauss_legendre
+from fhpt.quadrature import default_r_max
 from fhpt.special import bessel_i
 
 mpmath.mp.dps = 50
@@ -218,17 +218,15 @@ def _level_r_max(n, p):
 @pytest.mark.parametrize("A", (1.5, 2.0, 3.7))
 def test_resolution_diagonal_is_unity(A):
     p = PotentialParams(A=A)
-    rule = gauss_legendre(200)
     for n in range(11):
-        v = resolution_of_identity_check(n, n, p, rule=rule, r_max=_level_r_max(n, p))
+        v = resolution_of_identity_check(n, n, p, r_max=_level_r_max(n, p))
         assert abs(v - 1.0) < 1e-7
 
 
 def test_resolution_off_diagonal_vanishes():
     p = PotentialParams(A=2.0)
-    rule = gauss_legendre(200)
-    assert resolution_of_identity_check(2, 5, p, rule=rule, r_max=_level_r_max(2, p)) == 0.0
-    assert resolution_of_identity_check(5, 2, p, rule=rule, r_max=_level_r_max(5, p)) == 0.0
+    assert resolution_of_identity_check(2, 5, p, r_max=_level_r_max(2, p)) == 0.0
+    assert resolution_of_identity_check(5, 2, p, r_max=_level_r_max(5, p)) == 0.0
 
 
 @pytest.mark.parametrize("A", (0.65, 2.0, 21.0))
@@ -236,19 +234,19 @@ def test_resolution_on_level_sequences_equals_its_pairs(A):
     # one element per pair (n[i], n_prime[i]), each its own pair's call bit for bit; the diagonal pairs
     # share one pass over the K-grid and the off-diagonal ones are 0.0
     p = PotentialParams(A=A)
-    rule, r_max = gauss_legendre(200), _level_r_max(12, p)
+    r_max = _level_r_max(12, p)
     ns, n_primes = [0, 3, 7, 12, 2, 5, 9, 0], [0, 3, 7, 12, 5, 2, 9, 1]
-    got = resolution_of_identity_check(ns, n_primes, p, rule=rule, r_max=r_max)
-    want = [resolution_of_identity_check(n, m, p, rule=rule, r_max=r_max) for n, m in zip(ns, n_primes)]
+    got = resolution_of_identity_check(ns, n_primes, p, r_max=r_max)
+    want = [resolution_of_identity_check(n, m, p, r_max=r_max) for n, m in zip(ns, n_primes)]
     assert isinstance(got, np.ndarray) and got.tolist() == want
     assert all(isinstance(v, float) for v in want) and want[4] == want[5] == want[7] == 0.0
-    diagonal = resolution_of_identity_check(range(4), range(4), p, rule=rule, r_max=r_max)
-    assert diagonal.tolist() == [resolution_of_identity_check(n, n, p, rule=rule, r_max=r_max) for n in range(4)]
+    diagonal = resolution_of_identity_check(range(4), range(4), p, r_max=r_max)
+    assert diagonal.tolist() == [resolution_of_identity_check(n, n, p, r_max=r_max) for n in range(4)]
 
 
 def test_resolution_rejects_sequences_of_two_lengths():
     with pytest.raises(DomainError, match="one length"):
-        resolution_of_identity_check([0, 1], [0], PotentialParams(A=2.0), rule=gauss_legendre(20), r_max=30.0)
+        resolution_of_identity_check([0, 1], [0], PotentialParams(A=2.0), r_max=30.0)
 
 
 def test_resolution_past_the_former_overflow_wall_is_finite_without_a_warning():
@@ -256,7 +254,7 @@ def test_resolution_past_the_former_overflow_wall_is_finite_without_a_warning():
     # finite wherever K(2r) is not 0.0.  pytest turns a stray RuntimeWarning into an error.  The value is off
     # by 9.5e-4, as below the lower mesh edge e_nu the integrand is only a probed power law
     p = PotentialParams(A=100.0)
-    value = resolution_of_identity_check(0, 0, p, rule=gauss_legendre(200), r_max=_level_r_max(0, p))
+    value = resolution_of_identity_check(0, 0, p, r_max=_level_r_max(0, p))
     assert abs(value - 1.0) < 1e-3
 
 
@@ -264,18 +262,18 @@ def test_resolution_past_the_former_overflow_wall_is_finite_without_a_warning():
 def test_resolution_reaches_rounding_at_the_top_level(A):
     # levels 0..99 on the cutoff of level 99; the raw powers overflowed from about level 50 on
     p = PotentialParams(A=A)
-    values = resolution_of_identity_check(range(100), range(100), p, rule=gauss_legendre(200), r_max=_level_r_max(99, p))
+    values = resolution_of_identity_check(range(100), range(100), p, r_max=_level_r_max(99, p))
     assert np.max(np.abs(values - 1.0)) < 5e-13
 
 
 def test_resolution_rejects_bad_levels():
     p = PotentialParams(A=2.0)
     with pytest.raises(DomainError):
-        resolution_of_identity_check(-1, 0, p, rule=gauss_legendre(200), r_max=_level_r_max(-1, p))
+        resolution_of_identity_check(-1, 0, p, r_max=_level_r_max(-1, p))
 
 
 def test_resolution_rejects_levels_past_the_basis_bound():
     # the bound that overlap and build_basis_state apply, checked before any moment is formed
     p = PotentialParams(A=2.0)
     with pytest.raises(DomainError, match=r"level index must be an integer in \[0, 100\], got 101"):
-        resolution_of_identity_check(101, 101, p, rule=gauss_legendre(200), r_max=_level_r_max(101, p))
+        resolution_of_identity_check(101, 101, p, r_max=_level_r_max(101, p))

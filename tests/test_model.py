@@ -142,12 +142,12 @@ def test_momentum_level_domain():
 def test_level_index_rejects_bool():
     # True is an int subclass; no level-taking function reads it as level 1
     p = PotentialParams(A=2.0)
-    rule, r_max = gauss_legendre(200), default_r_max(2.0 * 1 + 2.0 * p.L + 1.0)
+    r_max = default_r_max(2.0 * 1 + 2.0 * p.L + 1.0)
     for call in (
         lambda: momentum_level(True, p),
         lambda: build_basis_state(True, p),
         lambda: ladder_coefficients(True, p.L),
-        lambda: resolution_of_identity_check(True, True, p, rule, r_max),
+        lambda: resolution_of_identity_check(True, True, p, r_max),
     ):
         with pytest.raises(DomainError, match="level index must be an integer"):
             call()

@@ -14,8 +14,8 @@ from fhpt.errors import DomainError, IntegrationError
 from fhpt.model import PotentialParams
 from fhpt.quadrature import (
     TruncationWarning,
+    _K_PANELS,
     _k_weighted_grid,
-    _main_panels,
     default_r_max,
     gauss_legendre,
     integrate_semi_infinite_k_weight,
@@ -87,9 +87,7 @@ def _closed_moment(mu, nu):
     [(1.5, 0.8), (3.0, 0.0), (5.5, 2.4), (0.5, 1.2), (10.2, 3.0), (21.5, 4.0)],
 )
 def test_k_weighted_moments_match_closed_form(mu, nu):
-    got = integrate_semi_infinite_k_weight(
-        lambda r: r**mu, nu, r_max=default_r_max(mu), rule=gauss_legendre(200)
-    )
+    got = integrate_semi_infinite_k_weight(lambda r: r**mu, nu, r_max=default_r_max(mu))
     exact = _closed_moment(mu, nu)
     assert got == pytest.approx(exact, rel=1e-11)
 
@@ -104,35 +102,32 @@ def test_k_weighted_lower_tail_closed_form(mu, nu):
     exact = mpmath.gamma((1.0 + mu + nu) / 2.0) * mpmath.gamma((1.0 + mu - nu) / 2.0) / 4.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
-        got = integrate_semi_infinite_k_weight(
-            lambda r: r**mu, nu, r_max=default_r_max(mu), rule=gauss_legendre(200)
-        )
+        got = integrate_semi_infinite_k_weight(lambda r: r**mu, nu, r_max=default_r_max(mu))
     assert got == pytest.approx(float(exact), rel=1e-9)
 
 
 def test_k_weighted_warns_on_tight_cutoff():
     with pytest.warns(TruncationWarning):
-        integrate_semi_infinite_k_weight(lambda r: r**8.0, 0.5, r_max=3.0, rule=gauss_legendre(200))
+        integrate_semi_infinite_k_weight(lambda r: r**8.0, 0.5, r_max=3.0)
 
 
 def test_k_weighted_warns_near_divergence():
     # r^0.2 K_1.5(2 r) ~ r^-1.3 toward 0: the integral diverges
     with pytest.warns(TruncationWarning, match="diverge"):
-        integrate_semi_infinite_k_weight(lambda r: r**0.2, 1.5, r_max=30.0, rule=gauss_legendre(200))
+        integrate_semi_infinite_k_weight(lambda r: r**0.2, 1.5, r_max=30.0)
 
 
 def test_k_weighted_rejects_bad_scale():
     with pytest.raises(DomainError):
-        integrate_semi_infinite_k_weight(lambda r: r, 1.0, r_max=1e-7, rule=gauss_legendre(200))
+        integrate_semi_infinite_k_weight(lambda r: r, 1.0, r_max=1e-7)
 
 
 def test_k_weighted_rejects_non_finite_integrand():
     # the message names the first bad node as a plain float
-    rule = gauss_legendre(20)
-    nodes, _ = _k_weighted_grid(0.5, 1e-6, 30.0, _main_panels(rule), rule)
+    nodes, _ = _k_weighted_grid(0.5, 1e-6, 30.0, _K_PANELS)
     bad = float(nodes[nodes > 5.0][0])
     with pytest.raises(IntegrationError) as err:
-        integrate_semi_infinite_k_weight(lambda r: np.where(r > 5.0, np.inf, r), 0.5, r_max=30.0, rule=rule)
+        integrate_semi_infinite_k_weight(lambda r: np.where(r > 5.0, np.inf, r), 0.5, r_max=30.0)
     assert str(err.value) == f"integrand returned a non-finite value at node {bad!r}"
     assert "np.float64" not in str(err.value)
 
@@ -144,38 +139,35 @@ def test_k_weighted_rejects_non_finite_upper_probe(bad):
     # finite on every node, which all lie below r_max, but not at the upper tail probe r = r_max: an
     # overflow used to print numpy's warning, and a NaN passed the tail test unnoticed
     with pytest.raises(IntegrationError) as err:
-        integrate_semi_infinite_k_weight(bad, 0.5, r_max=30.0, rule=gauss_legendre(20))
+        integrate_semi_infinite_k_weight(bad, 0.5, r_max=30.0)
     assert str(err.value) == "integrand returned a non-finite value at probe 30.0"
 
 
 def test_k_weighted_upper_probe_with_underflowed_weight_contributes_zero():
     # K_0.5(2 r_max) underflows to 0.0 at r_max = 400, so an infinite integrand there adds nothing
-    rule = gauss_legendre(20)
-    got = integrate_semi_infinite_k_weight(lambda r: np.where(r >= 400.0, np.inf, 1.0), 0.5, r_max=400.0, rule=rule)
-    assert got == integrate_semi_infinite_k_weight(np.ones_like, 0.5, r_max=400.0, rule=rule)
+    got = integrate_semi_infinite_k_weight(lambda r: np.where(r >= 400.0, np.inf, 1.0), 0.5, r_max=400.0)
+    assert got == integrate_semi_infinite_k_weight(np.ones_like, 0.5, r_max=400.0)
 
 
 def test_nodes_whose_k_weight_is_zero_are_not_evaluated():
     # K_0.5(2 r) is 0.0 past r ~ 373, so an integrand that is infinite only past r = 380 adds nothing there
-    rule = gauss_legendre(200)
-    got = integrate_semi_infinite_k_weight(lambda r: np.where(r > 380.0, np.inf, 1.0), 0.5, r_max=1000.0, rule=rule)
-    assert got == integrate_semi_infinite_k_weight(np.ones_like, 0.5, r_max=1000.0, rule=rule)
+    got = integrate_semi_infinite_k_weight(lambda r: np.where(r > 380.0, np.inf, 1.0), 0.5, r_max=1000.0)
+    assert got == integrate_semi_infinite_k_weight(np.ones_like, 0.5, r_max=1000.0)
 
 
 def test_a_mesh_with_no_live_node_raises():
     # at 2L = 2e6 every K weight on [e_nu, r_max] underflows; nothing is left to integrate
     with pytest.raises(IntegrationError, match=r"^every K weight on \[.+, 20000000.0\] is 0.0 at nu=2000000.0$"):
-        integrate_semi_infinite_k_weight(np.ones_like, 2e6, r_max=2e7, rule=gauss_legendre(20))
+        integrate_semi_infinite_k_weight(np.ones_like, 2e6, r_max=2e7)
 
 
 def test_k_grid_cache_is_bounded():
-    rule = gauss_legendre(20)
     for k in range(40):
-        integrate_semi_infinite_k_weight(lambda r: r**3.0, 0.5 + 0.01 * k, r_max=30.0, rule=rule)
+        integrate_semi_infinite_k_weight(lambda r: r**3.0, 0.5 + 0.01 * k, r_max=30.0)
     info = _k_weighted_grid.cache_info()
     assert info.maxsize == 32 and info.currsize <= 32
-    nodes, wk = _k_weighted_grid(0.89, 1e-6, 30.0, 32, rule)
-    assert _k_weighted_grid(0.89, 1e-6, 30.0, 32, rule)[1] is wk
+    nodes, wk = _k_weighted_grid(0.89, 1e-6, 30.0, 32)
+    assert _k_weighted_grid(0.89, 1e-6, 30.0, 32)[1] is wk
 
 
 @pytest.mark.parametrize(
@@ -183,14 +175,14 @@ def test_k_grid_cache_is_bounded():
 )
 def test_k_grid_matches_per_panel_assembly(nu, lo, hi, n_panels):
     # the per-panel expressions the broadcast replaced, kept as the reference; the grid holds only these
-    rule = gauss_legendre(200)
+    rule = gauss_legendre(80)
     edges = np.geomspace(lo, hi, n_panels + 1)
     panels = list(zip(edges[:-1], edges[1:]))
     ref_nodes = np.concatenate([0.5 * (l + h) + 0.5 * (h - l) * rule.nodes for l, h in panels])
     ref_weights = np.concatenate([0.5 * (h - l) * rule.weights for l, h in panels])
     ref_wk = ref_weights * _bessel_k_array(nu, 2.0 * ref_nodes)
-    live = ref_wk > 0.0  # all but the 560 nodes of the 45.0 case past r ~ 371, where K_45(2 r) underflows
-    nodes, wk = _k_weighted_grid(nu, lo, hi, n_panels, rule)
+    live = ref_wk > 0.0  # all but the 224 nodes of the 45.0 case past r ~ 371, where K_45(2 r) underflows
+    nodes, wk = _k_weighted_grid(nu, lo, hi, n_panels)
     assert np.array_equal(nodes, ref_nodes[live])
     assert np.array_equal(wk, ref_wk[live])
 
@@ -199,52 +191,39 @@ def test_k_grid_matches_per_panel_assembly(nu, lo, hi, n_panels):
 def test_tail_probes_are_taken_on_every_call(monkeypatch, nu):
     # the integrator takes its three tail probes K_nu(2 r) at r = r_max, lo and 2 lo with the public bessel_k
     # on each call, a warm grid included; r^(nu - 0.5) takes lower-tail panels as well, which take none
-    rule = gauss_legendre(200)
     probes = []
     monkeypatch.setattr(quadrature, "bessel_k", lambda v, x: probes.append((v, x)) or bessel_k(v, x))
     for _ in range(2):
-        integrate_semi_infinite_k_weight(lambda r: r ** (nu - 0.5), nu, r_max=185.0, rule=rule)
+        integrate_semi_infinite_k_weight(lambda r: r ** (nu - 0.5), nu, r_max=185.0)
     assert probes == 2 * [(nu, 370.0), (nu, 2e-6), (nu, 4e-6)]
 
 
-def test_main_grid_panels_follow_the_rule_order():
-    # a 640-node budget: verify's 80-point rule gets 8 panels, 640 nodes, and the default order 200 of
-    # resolution keeps 8 panels of 1,600 nodes; no order gets fewer than 640 nodes, nor fewer than 8 panels
-    for order, panels in ((80, 8), (200, 8), (40, 16), (20, 32)):
-        rule = gauss_legendre(order)
-        assert _main_panels(rule) == panels
-        assert _k_weighted_grid(4.0, 1e-6, 235.0, panels, rule)[0].size == panels * order
-    assert all(_main_panels(gauss_legendre(order)) >= max(8, 640 / order) for order in range(1, 81))
-    assert _main_panels(gauss_legendre(2048)) * 2048 == 16384
-
-
-@pytest.mark.parametrize("order", [10, 20, 40, 80, 200, 2048])
 @pytest.mark.parametrize("A", [0.55, 2.0, 10.5, 21.25])
-def test_k_moments_reach_rounding_at_every_rule_order(order, A):
+def test_k_moments_reach_rounding(A):
     # the identity-resolution diagonal and the three radial-closed-form moments, as verify takes them at nmax 10
     params = PotentialParams(A=A)
-    L, rule = params.L, gauss_legendre(order)
+    L = params.L
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
         r_max = default_r_max(20.0 + 2.0 * L + 1.0)
-        moments = resolution_of_identity_check(range(11), range(11), params, rule, r_max)
+        moments = resolution_of_identity_check(range(11), range(11), params, r_max)
         assert max(abs(v - 1.0) for v in moments) < 1e-12
         for k in (0, 3, 7):
             mu = 2.0 * k + 2.0 * L + 1.0
-            got = integrate_semi_infinite_k_weight(lambda r: r**mu, 2.0 * L, r_max=r_max, rule=rule)
+            got = integrate_semi_infinite_k_weight(lambda r: r**mu, 2.0 * L, r_max=r_max)
             exact = mpmath.gamma((1 + mpmath.mpf(mu) + 2 * L) / 2) * mpmath.gamma((1 + mpmath.mpf(mu) - 2 * L) / 2) / 4
             assert abs(got / exact - 1) < 1e-12
 
 
 @pytest.mark.parametrize("two_l", [0.3, 2.0, 20.00005, 41.5, 60.0])
 def test_k_moments_at_verify_rule_reach_rounding_at_every_level(two_l):
-    # verify's K-grid, 8 panels of the 80-point rule: at nmax 99, every normalized moment is 1 to rounding
+    # the one K-grid, 8 panels of the 80-point rule: at nmax 99, every normalized moment is 1 to rounding
     # (measured at most 2.9e-13, at 2L = 60)
     params = PotentialParams(A=0.5 * (two_l + 1.0))  # 2L = 2A - 1 in natural units
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
         r_max = default_r_max(2.0 * 99 + 2.0 * params.L + 1.0)
-        moments = resolution_of_identity_check(range(100), range(100), params, gauss_legendre(80), r_max)
+        moments = resolution_of_identity_check(range(100), range(100), params, r_max)
     assert np.max(np.abs(moments - 1.0)) < 1e-12
 
 
@@ -263,10 +242,9 @@ def test_row_valued_integrand_equals_its_own_rows(nu, r_max, mus):
     # one row per integrand in one pass over the grid: each row is its own call bit for bit, with the same
     # warnings in the same order, and the caller named as their source.  Row 1 takes the lower-tail
     # panels, the last row meets the upper cutoff with a warning, and at 2L = 0.3 row 0 diverges with one
-    rule = gauss_legendre(200)
-    singles = [_recorded(lambda mu=mu: integrate_semi_infinite_k_weight(lambda r: r**mu, nu, r_max, rule)) for mu in mus]
+    singles = [_recorded(lambda mu=mu: integrate_semi_infinite_k_weight(lambda r: r**mu, nu, r_max)) for mu in mus]
     before = _k_weighted_grid.cache_info()
-    rows, seen = _recorded(lambda: integrate_semi_infinite_k_weight(lambda r: np.array([r**mu for mu in mus]), nu, r_max, rule))
+    rows, seen = _recorded(lambda: integrate_semi_infinite_k_weight(lambda r: np.array([r**mu for mu in mus]), nu, r_max))
     after = _k_weighted_grid.cache_info()
     assert isinstance(rows, np.ndarray) and rows.shape == (len(mus),)
     assert rows.tolist() == [value for value, _ in singles]
@@ -280,12 +258,11 @@ def test_row_valued_integrand_equals_its_own_rows(nu, r_max, mus):
 def test_row_valued_integrand_names_the_first_bad_node_of_the_first_failing_row():
     # row 1 overflows from r ~ 5 on and row 2 from r ~ 1 on: the message names row 1's first bad node,
     # which a scan of the whole block in node order would not
-    rule = gauss_legendre(20)
-    nodes, _ = _k_weighted_grid(0.5, 1e-6, 30.0, _main_panels(rule), rule)
+    nodes, _ = _k_weighted_grid(0.5, 1e-6, 30.0, _K_PANELS)
 
     def g(r):
         return np.array([r, np.where(r > 5.0, np.inf, r), np.where(r > 1.0, np.nan, r)])
 
     with pytest.raises(IntegrationError) as err:
-        integrate_semi_infinite_k_weight(g, 0.5, r_max=30.0, rule=rule)
+        integrate_semi_infinite_k_weight(g, 0.5, r_max=30.0)
     assert str(err.value) == f"integrand returned a non-finite value at node {float(nodes[nodes > 5.0][0])!r}"
