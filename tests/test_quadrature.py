@@ -9,6 +9,7 @@ import pytest
 import scipy.special as sps
 
 from fhpt import quadrature
+from fhpt.checks import CheckConfig, run_checks
 from fhpt.coherent import resolution_of_identity_check
 from fhpt.errors import DomainError, IntegrationError
 from fhpt.model import PotentialParams
@@ -198,9 +199,12 @@ def test_tail_probes_are_taken_on_every_call(monkeypatch, nu):
     assert probes == 2 * [(nu, 370.0), (nu, 2e-6), (nu, 4e-6)]
 
 
+@pytest.mark.parametrize("order", [10, 20, 40, 80, 200, 2048])
 @pytest.mark.parametrize("A", [0.55, 2.0, 10.5, 21.25])
-def test_k_moments_reach_rounding(A):
-    # the identity-resolution diagonal and the three radial-closed-form moments, as verify takes them at nmax 10
+def test_k_moments_reach_rounding_at_every_rule_order(order, A):
+    # the identity-resolution diagonal and the three radial-closed-form moments, as verify takes them at nmax 10,
+    # reach rounding on the one K-grid; verify's rule order sets only its Gram rules, so at every order verify
+    # reports these moments' residuals bit for bit
     params = PotentialParams(A=A)
     L = params.L
     with warnings.catch_warnings():
@@ -213,6 +217,9 @@ def test_k_moments_reach_rounding(A):
             got = integrate_semi_infinite_k_weight(lambda r: r**mu, 2.0 * L, r_max=r_max)
             exact = mpmath.gamma((1 + mpmath.mpf(mu) + 2 * L) / 2) * mpmath.gamma((1 + mpmath.mpf(mu) - 2 * L) / 2) / 4
             assert abs(got / exact - 1) < 1e-12
+        report = {c.name: c.residual for c in run_checks(CheckConfig(A=A, nmax=10, quad_order=order)).checks}
+    assert report["identity-resolution"] == np.max(np.abs(moments - 1.0))
+    assert report["radial-closed-form"] == np.max(np.abs(moments[[0, 3, 7]] - 1.0))
 
 
 @pytest.mark.parametrize("two_l", [0.3, 2.0, 20.00005, 41.5, 60.0])
