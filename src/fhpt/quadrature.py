@@ -178,8 +178,9 @@ def integrate_semi_infinite_k_weight(g: Callable, nu: float, r_max: float) -> fl
             warnings.warn(message, TruncationWarning, stacklevel=3)
             return total
         tail = f1 * lo / (p + 1.0)
-        k = min(math.ceil(math.log(tail / (1e-13 * scale), 100.0) / (p + 1.0)), int(math.log(lo / floor, 100.0)))
-        k = max(k, 0)  # a T within 1e-13 of the result needs no panels, and is still added
+        # a T within 1e-13 of the result, 0.0 from an underflow included, needs no panels and is still added
+        need = math.log(max(tail, 1e-13 * scale) / (1e-13 * scale), 100.0)
+        k = min(math.ceil(need / (p + 1.0)), int(math.log(lo / floor, 100.0)))
         if k > 0:
             pn, pw = _k_weighted_grid(nu, lo / 100.0**k, lo, k)
             total += float(np.dot(pw, np.atleast_2d(np.asarray(g(pn), dtype=float))[i]))

@@ -1,5 +1,6 @@
 """Rule construction and the K-weighted integrator."""
 
+import functools
 import math
 import warnings
 
@@ -85,9 +86,10 @@ def _closed_moment(mu, nu):
 
 @pytest.mark.parametrize(
     "mu,nu",
-    [(1.5, 0.8), (3.0, 0.0), (5.5, 2.4), (0.5, 1.2), (10.2, 3.0), (21.5, 4.0)],
+    [(1.5, 0.8), (3.0, 0.0), (5.5, 2.4), (0.5, 1.2), (10.2, 3.0), (21.5, 4.0), (53.3, 0.5)],
 )
 def test_k_weighted_moments_match_closed_form(mu, nu):
+    # at (53.3, 0.5) the lower-tail piece T underflows to 0.0 from a subnormal probe
     got = integrate_semi_infinite_k_weight(lambda r: r**mu, nu, r_max=default_r_max(mu))
     exact = _closed_moment(mu, nu)
     assert got == pytest.approx(exact, rel=1e-11)
@@ -199,26 +201,39 @@ def test_tail_probes_are_taken_on_every_call(monkeypatch, nu):
     assert probes == 2 * [(nu, 370.0), (nu, 2e-6), (nu, 4e-6)]
 
 
+@functools.lru_cache(maxsize=None)
+def _verify_k_moments(A):
+    # the identity-resolution diagonal as verify takes it at nmax 10, on the one K-grid
+    params = PotentialParams(A=A)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        return resolution_of_identity_check(range(11), range(11), params, default_r_max(20.0 + 2.0 * params.L + 1.0))
+
+
+@pytest.mark.parametrize("A", [0.55, 2.0, 10.5, 21.25])
+def test_k_moments_reach_rounding_on_the_one_grid(A):
+    # the diagonal and the three radial-closed-form moments verify takes at nmax 10 reach rounding
+    moments = _verify_k_moments(A)
+    assert np.max(np.abs(moments - 1.0)) < 1e-12
+    L = PotentialParams(A=A).L
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        for k in (0, 3, 7):
+            mu = 2.0 * k + 2.0 * L + 1.0
+            got = integrate_semi_infinite_k_weight(lambda r: r**mu, 2.0 * L, r_max=default_r_max(20.0 + 2.0 * L + 1.0))
+            exact = mpmath.gamma((1 + mpmath.mpf(mu) + 2 * L) / 2) * mpmath.gamma((1 + mpmath.mpf(mu) - 2 * L) / 2) / 4
+            assert abs(got / exact - 1) < 1e-12
+
+
 @pytest.mark.parametrize("order", [10, 20, 40, 80, 200, 2048])
 @pytest.mark.parametrize("A", [0.55, 2.0, 10.5, 21.25])
 def test_k_moments_reach_rounding_at_every_rule_order(order, A):
-    # the identity-resolution diagonal and the three radial-closed-form moments, as verify takes them at nmax 10,
-    # reach rounding on the one K-grid; verify's rule order sets only its Gram rules, so at every order verify
-    # reports these moments' residuals bit for bit
-    params = PotentialParams(A=A)
-    L = params.L
+    # verify's rule order sets only its Gram rules: at every order it reports the one K-grid's moments bit for bit
+    moments = _verify_k_moments(A)
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
-        r_max = default_r_max(20.0 + 2.0 * L + 1.0)
-        moments = resolution_of_identity_check(range(11), range(11), params, r_max)
-        assert max(abs(v - 1.0) for v in moments) < 1e-12
-        for k in (0, 3, 7):
-            mu = 2.0 * k + 2.0 * L + 1.0
-            got = integrate_semi_infinite_k_weight(lambda r: r**mu, 2.0 * L, r_max=r_max)
-            exact = mpmath.gamma((1 + mpmath.mpf(mu) + 2 * L) / 2) * mpmath.gamma((1 + mpmath.mpf(mu) - 2 * L) / 2) / 4
-            assert abs(got / exact - 1) < 1e-12
         report = {c.name: c.residual for c in run_checks(CheckConfig(A=A, nmax=10, quad_order=order)).checks}
-    assert report["identity-resolution"] == np.max(np.abs(moments - 1.0))
+    assert report["identity-resolution"] == np.max(np.abs(moments - 1.0)) < 1e-12
     assert report["radial-closed-form"] == np.max(np.abs(moments[[0, 3, 7]] - 1.0))
 
 
